@@ -1,0 +1,1 @@
+"""Repository benchmark; run it with ``python3 perfbench/run.py``."""
