@@ -165,28 +165,10 @@ def test_fastpath_rejects_per_event_instrumentation():
         XSQEngineFast(QUERY, obs=Observability(per_event_timing=True))
 
 
-def test_codegen_off_keeps_interpreter_structurally():
-    """``codegen=False`` pins the slot interpreter by construction.
-
-    The escape hatch must not merely ignore the kernel — no kernel may
-    exist at all (nothing generated, nothing ``exec``-ed), and the
-    runtime must resolve ``run_batch`` through the class, not an
-    instance binding.  If a kernel ever leaks past ``codegen=False``,
-    the escape hatch stops being a control for pricing the tier.
-    """
-    engine = XSQEngineFast(QUERY, codegen=False)
-    assert engine.kernel is None
-    assert "codegen disabled" in engine.kernel_note
-    runtime = engine.push()._runtime
-    assert "run_batch" not in runtime.__dict__
-    assert runtime.run_batch.__func__ is type(runtime).run_batch
-
-
 def test_interpreted_paths_never_import_codegen():
-    """NC/F runs — and ``codegen=False`` fast runs — never load the
-    codegen module, so the tier costs nothing when it is not used.
-    The import sits inside the ``codegen=True`` branch of
-    ``XSQEngineFast.__init__``; this pins it there.
+    """NC/F runs never load the codegen module, so the kernel generator
+    costs nothing when the fast tier is not used.  The import sits
+    inside ``XSQEngineFast.__init__``; this pins it there.
     """
     import subprocess
     import sys
@@ -199,27 +181,9 @@ def test_interpreted_paths_never_import_codegen():
         "doc = '<a><b>x</b></a>'\n"
         "XSQEngineNC('/a/b/text()').run(doc)\n"
         "XSQEngine('/a/b/text()').run(doc)\n"
-        "XSQEngineFast('/a/b/text()', codegen=False).run(doc)\n"
         "assert 'repro.xsq.codegen' not in sys.modules, 'codegen loaded'\n"
     )
     subprocess.run([sys.executable, "-c", probe], check=True)
-
-
-@pytest.mark.benchmark(group="codegen-tier")
-def test_codegen_kernel_throughput(benchmark, shake):
-    """The generated kernel on the Figure 16 workhorse query."""
-    engine = XSQEngineFast(QUERY)
-    assert engine.kernel is not None
-    results = benchmark(engine.run, shake)
-    assert results
-
-
-@pytest.mark.benchmark(group="codegen-tier")
-def test_codegen_off_slot_interpreter(benchmark, shake):
-    """Same query, ``codegen=False``: what the escape hatch costs."""
-    engine = XSQEngineFast(QUERY, codegen=False)
-    results = benchmark(engine.run, shake)
-    assert results
 
 
 def test_uninstrumented_runs_bind_plain_methods():

@@ -3,15 +3,14 @@
 
 Measures MB/s over the four Figure 15 datasets (SHAKE, NASA, DBLP, PSD)
 with each dataset's Figure 16/17-style query — plus two element-output
-workloads now that default output runs on the fast tier (PR 9) — for
-the four single-query runtimes: the generated codegen kernel, the
-fast-path slot interpreter it lowers from (``codegen=False``), XSQ-NC
-and XSQ-F, plus the PureParser parse-only ceiling the paper normalizes
-against.  All engines run over the same in-memory document; each cell
-takes the best of ``--repeats`` runs to damp scheduler noise.
+workloads — for the three single-query runtimes: the fast tier's
+generated kernel (the ``codegen`` column), XSQ-NC and XSQ-F, plus the
+PureParser parse-only ceiling the paper normalizes against.  All
+engines run over the same in-memory document; each cell takes the best
+of ``--repeats`` runs to damp scheduler noise.
 
 Each workload also records ``selection``: the tier ``engine="auto"``
-actually picks (codegen/fast/nc/f), the fallback slug when the fast
+actually picks (codegen/nc/f), the fallback slug when the fast
 path is rejected, and the kernel note — so the artifact shows *which*
 engine users get, not just how fast each one could be.
 ``python -m repro.bench diff`` surfaces a workload dropping off the
@@ -81,8 +80,6 @@ GENERATORS["dblp-title"] = GENERATORS["dblp"]
 
 ENGINES = {
     "codegen": lambda query: XSQEngineFast(query, cache=False),
-    "fast": lambda query: XSQEngineFast(query, cache=False,
-                                        codegen=False),
     "nc": lambda query: XSQEngineNC(query, cache=False),
     "f": lambda query: XSQEngine(query, cache=False),
 }
@@ -91,15 +88,14 @@ ENGINES = {
 def auto_selection(query: str) -> Dict[str, object]:
     """What ``engine="auto"`` picks for ``query``, with the why.
 
-    ``tier`` is codegen/fast/nc/f; ``fallback`` is the
+    ``tier`` is codegen/nc/f; ``fallback`` is the
     :class:`~repro.errors.FastPathUnsupportedError` slug when the fast
     path is rejected (else None); ``kernel`` is the codegen note.
     """
     from repro.api import select_engine
     engine = select_engine(query, "auto", cache=False)
     if isinstance(engine, XSQEngineFast):
-        tier = "codegen" if engine.kernel is not None else "fast"
-        return {"tier": tier, "fallback": None,
+        return {"tier": "codegen", "fallback": None,
                 "kernel": engine.kernel_note}
     from repro.xpath.parser import parse_query
     from repro.xsq.fastpath import unsupported_reason
@@ -151,13 +147,10 @@ def run_workload(dataset: str, query: str, xml: str, size: int,
         "events": events,
     }
     codegen = entry["engines"]["codegen"]["mb_per_s"]
-    fast = entry["engines"]["fast"]["mb_per_s"]
     interpreted = max(entry["engines"]["nc"]["mb_per_s"],
                       entry["engines"]["f"]["mb_per_s"])
-    entry["fast_speedup_vs_interpreted"] = round(fast / interpreted, 3)
     entry["codegen_speedup_vs_interpreted"] = round(
         codegen / interpreted, 3)
-    entry["codegen_speedup_vs_fast"] = round(codegen / fast, 3)
     entry["fast_fraction_of_ceiling"] = round(
         codegen / entry["engines"]["pureparser"]["mb_per_s"], 3)
     entry["results_agree"] = len(set(result_counts.values())) == 1
@@ -232,12 +225,11 @@ def main(argv=None) -> int:
             entries.append(entry)
             engines = entry["engines"]
             selection = entry["selection"]
-            print("%-12s %8d bytes  codegen=%-7.2f fast=%-7.2f "
+            print("%-12s %8d bytes  kernel=%-7.2f "
                   "nc=%-7.2f f=%-7.2f pure=%-7.2f MB/s  "
                   "speedup=%.2fx  tier=%s  agree=%s"
                   % (dataset, size,
                      engines["codegen"]["mb_per_s"],
-                     engines["fast"]["mb_per_s"],
                      engines["nc"]["mb_per_s"],
                      engines["f"]["mb_per_s"],
                      engines["pureparser"]["mb_per_s"],
@@ -247,34 +239,28 @@ def main(argv=None) -> int:
             if not entry["results_agree"]:
                 failures.append("%s: engines disagree on result count"
                                 % workload_key(entry))
-            best_speedup = max(entry["fast_speedup_vs_interpreted"],
-                               entry["codegen_speedup_vs_interpreted"])
-            if best_speedup < args.min_speedup:
+            speedup = entry["codegen_speedup_vs_interpreted"]
+            if speedup < args.min_speedup:
                 failures.append(
                     "%s: fast tier speedup %.2fx below the %.1fx floor"
-                    % (workload_key(entry), best_speedup,
-                       args.min_speedup))
+                    % (workload_key(entry), speedup, args.min_speedup))
             if baseline is not None:
                 committed = baseline.get(workload_key(entry))
                 if committed is None:
                     continue
-                for tier in ("fast", "codegen"):
-                    cell = committed["engines"].get(tier)
-                    if cell is None:
-                        continue  # pre-codegen baseline: no codegen row
-                    floor = cell["mb_per_s"] * (1.0 - args.regress_floor)
-                    if engines[tier]["mb_per_s"] < floor:
-                        failures.append(
-                            "%s: %s tier %.2f MB/s regressed more than "
-                            "%.0f%% from committed %.2f MB/s"
-                            % (workload_key(entry), tier,
-                               engines[tier]["mb_per_s"],
-                               args.regress_floor * 100,
-                               cell["mb_per_s"]))
+                floor = (committed["engines"]["codegen"]["mb_per_s"]
+                         * (1.0 - args.regress_floor))
+                if engines["codegen"]["mb_per_s"] < floor:
+                    failures.append(
+                        "%s: fast tier %.2f MB/s regressed more than "
+                        "%.0f%% from committed %.2f MB/s"
+                        % (workload_key(entry),
+                           engines["codegen"]["mb_per_s"],
+                           args.regress_floor * 100,
+                           committed["engines"]["codegen"]["mb_per_s"]))
 
     on_fast_tier = sum(1 for entry in entries
-                       if entry["selection"]["tier"] in ("codegen",
-                                                         "fast"))
+                       if entry["selection"]["tier"] == "codegen")
     fast_tier_fraction = round(on_fast_tier / len(entries), 3)
     if fast_tier_fraction < args.min_fast_fraction:
         failures.append(

@@ -76,11 +76,9 @@ class UnionEngine:
 
     name = "xsq-union"
 
-    def __init__(self, branches: Sequence[QueryLike], obs=None, cache=None,
-                 codegen: bool = True):
+    def __init__(self, branches: Sequence[QueryLike], obs=None, cache=None):
         self.obs = obs
-        self._engine = MultiQueryEngine(branches, obs=obs, cache=cache,
-                                        codegen=codegen)
+        self._engine = MultiQueryEngine(branches, obs=obs, cache=cache)
 
     def run(self, source, sink=None):
         return self._engine._run_merged(source, sink=sink)
@@ -141,41 +139,20 @@ def _record_selection(obs, engine_name: str, mode: str,
             reason=reason).inc()
 
 
-def _record_codegen(obs, engine) -> None:
-    """Count the codegen tier decision for a selected fast engine."""
-    if obs is None:
-        return
-    if engine.kernel is not None:
-        result = "generated"
-    elif not engine.codegen_enabled:
-        result = "disabled"
-    else:
-        result = "rejected"
-    obs.metrics.counter(
-        "repro_codegen_kernels_total",
-        "codegen tier decision for fast-path compilations",
-        result=result).inc()
-
-
 def select_engine(query: QueryLike, choice: str = "auto", obs=None,
-                  cache=None, codegen: bool = True, schema=None):
+                  cache=None, schema=None):
     """The raw engine :func:`compile` would wrap for ``query``.
 
     Applies the reverse-axis rewrite, detects top-level unions, and —
     with ``choice="auto"`` — prefers the compiled fast path
     (:class:`~repro.xsq.fastpath.XSQEngineFast`), falling back to
     XSQ-NC and then XSQ-F when the query needs features the faster
-    engines lack.  Within the fast path, ``codegen=True`` (default)
-    lowers the plan further to a generated kernel
-    (:mod:`repro.xsq.codegen`) when possible, so the effective tier
-    order is codegen → fast → nc → f; ``codegen=False`` is the escape
-    hatch pinning the slot interpreter.  ``choice="codegen"`` *forces*
-    the kernel tier and raises when the plan cannot be generated.  A
+    engines lack.  The fast path always runs a generated kernel
+    (:mod:`repro.xsq.codegen`), so the tier order is fast → nc → f.  A
     fallback is never silent: the chosen engine's ``explain()`` carries
     a ``fast path not selected: <reason>`` line and the decision is
     counted in ``repro_engine_selection_total`` /
-    ``repro_fastpath_fallback_total`` (kernel decisions in
-    ``repro_codegen_kernels_total``).  Returns an
+    ``repro_fastpath_fallback_total``.  Returns an
     :class:`~repro.xsq.fastpath.XSQEngineFast`, :class:`XSQEngine`,
     :class:`XSQEngineNC`, :class:`UnionEngine` or :class:`EmptyEngine`.
 
@@ -190,9 +167,9 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
     path goes to the fast tiers instead of XSQ-F.  ``schema=None``
     (the default) never imports the schema compiler.
     """
-    if choice not in ("auto", "f", "nc", "fast", "codegen"):
-        raise ValueError("engine must be 'auto', 'f', 'nc', 'fast' or "
-                         "'codegen', not %r" % (choice,))
+    if choice not in ("auto", "f", "nc", "fast"):
+        raise ValueError("engine must be 'auto', 'f', 'nc' or 'fast', "
+                         "not %r" % (choice,))
     if schema is not None:
         from repro.xsq.schema_compile import coerce_schema
         schema = coerce_schema(schema)
@@ -205,7 +182,7 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
         from repro.xpath.parser import parse_query_set
         branches = parse_query_set(query)
         if len(branches) > 1:
-            if choice in ("fast", "codegen"):
+            if choice == "fast":
                 raise FastPathUnsupportedError(
                     "the fast path runs single queries; a top-level "
                     "union compiles to grouped runtimes",
@@ -224,8 +201,7 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
                         "every union branch is statically empty under "
                         "the attached DTD")
                 branches = kept
-            return UnionEngine(branches, obs=obs, cache=cache,
-                               codegen=codegen)
+            return UnionEngine(branches, obs=obs, cache=cache)
     schema_plan = None
     if schema is not None:
         from repro.xsq import schema_opt
@@ -242,7 +218,7 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
             # Closure expansion produced several child-axis paths:
             # grouped one-pass execution with document-order merge.
             engine = UnionEngine(schema_plan.queries, obs=obs,
-                                 cache=cache, codegen=codegen)
+                                 cache=cache)
             engine.schema_plan = schema_plan
             return engine
         if not schema_plan.is_union:
@@ -259,28 +235,14 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
         _record_selection(obs, engine.name, "forced")
         return engine
     if choice == "fast":
-        engine = XSQEngineFast(query, obs=obs, cache=cache,
-                               codegen=codegen, schema=schema)
+        engine = XSQEngineFast(query, obs=obs, cache=cache, schema=schema)
         _record_selection(obs, engine.name, "forced")
-        _record_codegen(obs, engine)
         return engine
-    if choice == "codegen":
-        engine = XSQEngineFast(query, obs=obs, cache=cache, codegen=True,
-                               schema=schema)
-        if engine.kernel is None:
-            raise FastPathUnsupportedError(
-                engine.kernel_note, reason="codegen-rejected")
-        _record_selection(obs, engine.name, "forced")
-        _record_codegen(obs, engine)
-        return engine
-    # auto: compiled fast path when supported (generated kernel when
-    # codegen allows), else the deterministic interpreted runtime, else
-    # full XSQ-F.
+    # auto: compiled fast path when supported, else the deterministic
+    # interpreted runtime, else full XSQ-F.
     try:
-        engine = XSQEngineFast(query, obs=obs, cache=cache,
-                               codegen=codegen, schema=schema)
+        engine = XSQEngineFast(query, obs=obs, cache=cache, schema=schema)
         _record_selection(obs, engine.name, "selected")
-        _record_codegen(obs, engine)
         return engine
     except FastPathUnsupportedError as exc:
         reason = exc.reason
@@ -392,7 +354,7 @@ class CompiledQuery:
     """
 
     def __init__(self, query: QueryLike, engine: str = "auto", obs=None,
-                 cache=None, codegen: bool = True, schema=None):
+                 cache=None, schema=None):
         self.text = query if isinstance(query, str) else (query.text or "")
         self.obs = obs
         # Kept for run_bulk: workers re-run the same selection on the
@@ -405,7 +367,7 @@ class CompiledQuery:
         self.schema = schema
         self._push_session: Optional[PushSession] = None
         self.engine = select_engine(query, engine, obs=obs, cache=cache,
-                                    codegen=codegen, schema=schema)
+                                    schema=schema)
 
     @property
     def engine_name(self) -> str:
@@ -523,8 +485,7 @@ class CompiledQuerySet:
     """
 
     def __init__(self, queries: Sequence[QueryLike], obs=None, cache=None,
-                 shared_dispatch: bool = True, codegen: bool = True,
-                 schema=None):
+                 shared_dispatch: bool = True, schema=None):
         self.obs = obs
         self._bulk_spec = list(queries)
         self.shared_dispatch = shared_dispatch
@@ -551,8 +512,7 @@ class CompiledQuerySet:
             queries = simplified
             self.schema_notes = notes
         self.engine = MultiQueryEngine(queries, obs=obs, cache=cache,
-                                       shared_dispatch=shared_dispatch,
-                                       codegen=codegen)
+                                       shared_dispatch=shared_dispatch)
 
     @property
     def engine_name(self) -> str:
@@ -650,7 +610,7 @@ class CompiledQuerySet:
 
 
 def compile(query, *, engine: str = "auto", obs=None, cache=None,
-            audit: bool = False, codegen: bool = True, schema=None):
+            audit: bool = False, schema=None):
     """Compile ``query`` into a ready-to-run object.
 
     ``query`` may be a query string, a parsed
@@ -660,10 +620,8 @@ def compile(query, *, engine: str = "auto", obs=None, cache=None,
     shared event dispatch).
 
     ``engine`` selects the single-query engine: ``"auto"`` (default:
-    codegen → fast → nc → f), ``"codegen"``, ``"fast"``, ``"nc"`` or
-    ``"f"``.  ``codegen=False`` is the escape hatch that keeps the fast
-    path on the slot interpreter (no generated kernels) — interpreted
-    engines are unaffected by it.  ``obs`` attaches an
+    fast → nc → f), ``"fast"`` (the generated-kernel tier), ``"nc"`` or
+    ``"f"``.  ``obs`` attaches an
     :class:`~repro.obs.Observability` bundle; ``cache`` scopes or
     disables the HPDT compile cache.
 
@@ -700,10 +658,9 @@ def compile(query, *, engine: str = "auto", obs=None, cache=None,
             obs.enable_audit()
     if isinstance(query, (str, Query)):
         return CompiledQuery(query, engine=engine, obs=obs, cache=cache,
-                             codegen=codegen, schema=schema)
+                             schema=schema)
     if engine != "auto":
         raise ValueError(
             "engine=%r cannot apply to a query set: grouped execution "
             "always uses the XSQ-F runtime per member" % (engine,))
-    return CompiledQuerySet(query, obs=obs, cache=cache, codegen=codegen,
-                            schema=schema)
+    return CompiledQuerySet(query, obs=obs, cache=cache, schema=schema)

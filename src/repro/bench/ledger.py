@@ -108,8 +108,7 @@ def flatten(artifact: dict) -> Dict[Tuple[str, str], float]:
                 # "fraction" fragment makes a 1 -> 0 move (a workload
                 # dropping off the fast tier) a flagged regression.
                 rows[(key, "selection.fast_tier_fraction")] = (
-                    1.0 if selection.get("tier") in ("codegen", "fast")
-                    else 0.0)
+                    1.0 if selection.get("tier") == "codegen" else 0.0)
         elif kind == "memory-accounting":
             key = "%s/%s/%s@%s" % (
                 workload.get("figure", "?"), workload.get("dataset", "?"),

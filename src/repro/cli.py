@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run every query in FILE (one per line, "
                              "#-comments allowed) in a single pass over "
                              "the input, printing results per query")
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="f = XSQ-F (full), nc = XSQ-NC (no closures), "
                              "fast = compiled fast path, auto = fast when "
@@ -150,7 +150,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser.add_argument("query", help="XPath query in the supported subset")
     parser.add_argument("file", nargs="?", default=None,
                         help="XML file to query (default: stdin)")
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="f = XSQ-F, nc = XSQ-NC, fast = compiled "
                              "fast path, auto = fast when possible, "
@@ -195,7 +195,7 @@ def build_top_parser() -> argparse.ArgumentParser:
                                       "(unions run grouped)")
     parser.add_argument("file", nargs="?", default=None,
                         help="XML file to query (default: stdin)")
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="f = XSQ-F, nc = XSQ-NC, fast = compiled "
                              "fast path, auto = fast when possible, "
@@ -244,7 +244,7 @@ def build_bulk_parser() -> argparse.ArgumentParser:
                         help="documents per work chunk (default: %d; "
                              "smaller = finer work stealing)"
                              % _DEFAULT_CHUNK_SIZE)
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="engine forced in every worker (default: "
                              "auto = fast when possible, else nc, else f)")
@@ -473,7 +473,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("query", help="XPath query (unions run grouped)")
     parser.add_argument("file", nargs="?", default=None,
                         help="XML file to query (default: stdin)")
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="f = XSQ-F, nc = XSQ-NC, fast = compiled "
                              "fast path, auto = fast when possible, "
@@ -550,7 +550,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("query", help="XPath query (unions run grouped)")
     parser.add_argument("file", nargs="?", default=None,
                         help="XML file to query (default: stdin)")
-    parser.add_argument("--engine", choices=("f", "nc", "fast", "codegen", "auto"),
+    parser.add_argument("--engine", choices=("f", "nc", "fast", "auto"),
                         default="auto",
                         help="f = XSQ-F, nc = XSQ-NC, fast = compiled "
                              "fast path, auto = fast when possible, "

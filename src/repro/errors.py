@@ -53,8 +53,8 @@ class FastPathUnsupportedError(UnsupportedFeatureError):
     Raised by :class:`repro.xsq.fastpath.XSQEngineFast` at construction.
     ``reason`` is a short stable slug (``closure-axis``,
     ``not-predicate``, ``or-predicate``, ``path-predicate``,
-    ``observability``, ``union``, ``codegen-rejected``) naming the
-    *first* unsupported feature; ``engine="auto"`` catches this error,
+    ``observability``, ``union``) naming the *first* unsupported
+    feature; ``engine="auto"`` catches this error,
     falls back to an interpreted runtime, and surfaces the slug in
     ``.explain()`` and the ``repro_fastpath_fallback_total`` metric.
     (``element-output`` was a slug through PR 8; element results now

@@ -1,17 +1,12 @@
-"""Generated per-plan kernels: the fast path's codegen tier.
+"""Generated per-plan kernels: the fast tier's only runtime.
 
-The slot interpreter (:meth:`repro.xsq.fastpath.FastRuntime.run_batch`)
-is already closure-lowered, but it still pays per-event costs that are
-a function of the *plan*, not the data: dict lookups into the
-transition rows, tuple unpacking of ``(watches, match)`` entries, loops
-over watch/test tuples, and bound-method dispatch for every result.
-This module freezes those too, the way "Scalable XSLT Evaluation"
-compiles its plan to code: each :class:`~repro.xsq.fastpath.FastPlan`
-is lowered to one *generated, closure-free dispatch function* — states
-and tag ids baked in as ``int`` constants, predicate tests inlined as
-direct calls, result buffering unrolled — compiled once with
-``compile()``/``exec`` and memoized on the plan (``plan.kernel``), so
-it rides the process-wide HPDT compile cache exactly like the tables.
+Each :class:`~repro.xsq.fastpath.FastPlan` is lowered to one
+*generated, closure-free dispatch function* the way "Scalable XSLT
+Evaluation" compiles its plan to code: states and tag ids baked in as
+``int`` constants, predicate tests inlined as direct calls, result
+buffering unrolled.  It is compiled once with ``compile()``/``exec``
+and memoized on the plan (``plan.kernel``), so it rides the
+process-wide HPDT compile cache exactly like the tables.
 
 Three specializations are selected automatically:
 
@@ -32,20 +27,20 @@ Three specializations are selected automatically:
   (that is where documents spend their events), and predicate-free
   states sharing one pre-resolved instance instead of allocating.
 
+Every plan gets a kernel, however deep the path or wide a transition
+row: state and tag dispatch are emitted as *flat* ``if ...: ...;
+continue`` blocks rather than ``elif`` chains, which Python's compiler
+nests one level per branch.  The cost of a very wide row is a linear
+scan per begin event at that state (see ``docs/PERFORMANCE.md``).
+
 The kernel is bound as the *runtime instance's* ``run_batch`` (see
 :class:`~repro.xsq.fastpath.FastRuntime`), so the pull loop, push
 handles (``xsq serve``), ``iter_results`` and the sampling profiler all
 execute it; automaton state (``matched``, capture buffers, peaks) is
 loaded at entry and stored at exit of every call, which keeps
 single-tuple profiler sampling and arbitrary push-mode batch splits
-semantically identical to one big batch.
-
-Kernels are rejected — ``compile_kernel`` returns ``(None, reason)``
-and the engine falls back to the slot interpreter, never to an
-interpreted engine — only for degenerate plan shapes (very deep paths
-or very wide transition rows) where the unrolled source would be large
-for no benefit.  The generated source is kept on the function
-(``fn.__xsq_source__``) for inspection and tests.
+semantically identical to one big batch.  The generated source is kept
+on the function (``fn.__xsq_source__``) for inspection and tests.
 """
 
 from __future__ import annotations
@@ -55,29 +50,18 @@ from typing import Callable, List, Optional, Tuple
 from repro.streaming.serialize import begin_tag, escape_text
 from repro.xsq.matcher import Chain, PredicateInstance
 
-#: Rejection thresholds: beyond these the unrolled dispatch chains stop
-#: resembling straight-line code and the slot interpreter is the better
-#: tier.  Far above anything the paper's workloads (or datagen) produce.
-MAX_STATES = 24
-MAX_ROW_ENTRIES = 256
 
-
-def compile_kernel(plan) -> Tuple[Optional[Callable], str]:
+def compile_kernel(plan) -> Tuple[Callable, str]:
     """Lower ``plan`` to a generated kernel; memoized on the plan.
 
     Returns ``(fn, note)``: ``fn`` is the kernel (an unbound function
     taking ``(self, batch)``, to be bound to a
-    :class:`~repro.xsq.fastpath.FastRuntime`) or ``None`` when codegen
-    rejected the plan, and ``note`` says which — surfaced by
-    ``.explain()``.
+    :class:`~repro.xsq.fastpath.FastRuntime`) and ``note`` describes
+    its shape — surfaced by ``.explain()``.
     """
     cached = plan.kernel
     if cached is not None:
         return cached
-    reason = _reject_reason(plan)
-    if reason is not None:
-        plan.kernel = (None, reason)
-        return plan.kernel
     source, namespace, flavor = _generate(plan)
     code = compile(source, "<xsq-kernel %s>" % plan.query.text, "exec")
     exec(code, namespace)
@@ -89,22 +73,9 @@ def compile_kernel(plan) -> Tuple[Optional[Callable], str]:
     return plan.kernel
 
 
-def kernel_source(plan) -> Optional[str]:
-    """The generated source for ``plan``'s kernel, if one exists."""
-    fn, _note = compile_kernel(plan)
-    return None if fn is None else fn.__xsq_source__
-
-
-def _reject_reason(plan) -> Optional[str]:
-    if plan.n + 1 > MAX_STATES:
-        return ("codegen rejected: %d states exceeds the unroll limit "
-                "(%d)" % (plan.n + 1, MAX_STATES))
-    entries = sum(len(row) for row in plan.begin_named) \
-        + sum(len(row) for row in plan.child_text_named)
-    if entries > MAX_ROW_ENTRIES:
-        return ("codegen rejected: %d transition-row entries exceeds "
-                "the unroll limit (%d)" % (entries, MAX_ROW_ENTRIES))
-    return None
+def kernel_source(plan) -> str:
+    """The generated source for ``plan``'s kernel."""
+    return compile_kernel(plan)[0].__xsq_source__
 
 
 class _Emitter:
@@ -202,14 +173,14 @@ def _generate(plan):
         w(4, "continue")
         # Deepest states first: most documents produce most of their
         # begin events far from the root, so the hot state should win
-        # the dispatch chain in one comparison.
-        begin_states = [m for m in range(n + 1)
-                        if plan.begin_named[m] or plan.begin_default[m]]
-        lead = "if"
-        for m in reversed(begin_states):
-            w(3, "%s matched == %d:" % (lead, m))
-            lead = "elif"
-            _emit_begin_state(e, plan, m, simple, element)
+        # the dispatch in one comparison.  Each state is a flat block
+        # ending in ``continue``: an elif chain would nest one level per
+        # state and overflow the compiler on very deep paths.
+        for m in reversed(range(n + 1)):
+            if plan.begin_named[m] or plan.begin_default[m]:
+                w(3, "if matched == %d:" % m)
+                _emit_begin_state(e, plan, m, simple, element)
+                w(4, "continue")
 
     # -- END ---------------------------------------------------------------
     w(2, "elif kind == 2:")
@@ -245,10 +216,8 @@ def _generate(plan):
             w(4, "cap.append(_ESC(event[2]))")
         if text_states:
             w(3, "depth = event[3]")
-            lead = "if"
             for m, own, child in reversed(text_states):
-                w(3, "%s matched == %d:" % (lead, m))
-                lead = "elif"
+                w(3, "if matched == %d:" % m)
                 if own:
                     w(4, "if depth == %d:" % m)
                     _emit_text_own(e, plan, m, 5, simple)
@@ -258,12 +227,10 @@ def _generate(plan):
                 else:
                     w(4, "if depth == %d:" % (m + 1))
                     _emit_text_child(e, plan, m, 5)
-        elif not element:  # pragma: no cover - guarded by the outer if
-            w(3, "pass")
+                w(4, "continue")
 
     # -- epilogue ----------------------------------------------------------
     w(1, "self.matched = matched")
-    w(1, "self._live = matched")
     w(1, "self.peak_instances = peak")
     if element:
         w(1, "self._cap_parts = cap")
@@ -316,23 +283,17 @@ def _emit_begin_state(e, plan, m, simple, element):
     default = plan.begin_default[m]
     if row:
         w(4, "tid = event[1]")
-        lead = "if"
         for tid, (watches, match) in sorted(row.items()):
-            w(4, "%s tid == %d:" % (lead, tid))
-            lead = "elif"
+            w(4, "if tid == %d:" % tid)
             _emit_begin_entry(e, plan, m, watches, match, 5, simple, element)
-        if default is not None:
-            w(4, "else:")
-            _emit_begin_entry(e, plan, m, default[0], default[1], 5,
-                              simple, element)
-    else:
+            w(5, "continue")
+    if default is not None:
         _emit_begin_entry(e, plan, m, default[0], default[1], 4,
                           simple, element)
 
 
 def _emit_begin_entry(e, plan, m, watches, match, ind, simple, element):
     w = e.w
-    emitted = False
     if watches:
         # Witness tests for the parent step (m-1) on this child tag.
         w(ind, "instance = inst_stack[%d]" % (m - 1))
@@ -346,7 +307,6 @@ def _emit_begin_entry(e, plan, m, watches, match, ind, simple, element):
                 w(ind + 1, "if %d in pending and %s(event[2]):"
                   % (pred_index, name))
             w(ind + 2, "instance.witness(%d, self)" % pred_index)
-        emitted = True
     if match is not None:
         gates = plan.eager_gate
         if gates is not None and m and gates[m]:
@@ -381,9 +341,6 @@ def _emit_begin_entry(e, plan, m, watches, match, ind, simple, element):
         w(ind + 1, "peak = %d" % (m + 1))
         if m + 1 == plan.n:
             _emit_begin_output(e, plan, ind, simple)
-        emitted = True
-    if not emitted:  # pragma: no cover - rows never hold empty entries
-        w(ind, "pass")
 
 
 def _emit_begin_output(e, plan, ind, simple):
@@ -452,21 +409,22 @@ def _emit_text_child(e, plan, m, ind):
 
     if named:
         w(ind, "tid = event[1]")
-        lead = "if"
         for tid, entries in sorted(named.items()):
-            w(ind, "%s tid == %d:" % (lead, tid))
-            lead = "elif"
+            w(ind, "if tid == %d:" % tid)
             entries_block(entries, ind + 1)
-        if default:
-            w(ind, "else:")
-            entries_block(default, ind + 1)
-    elif default:
+            w(ind + 1, "continue")
+    if default:
         entries_block(default, ind)
 
 
 def _emit_make_item(e, plan, ind, value_expr, simple,
                     on_emit=None, value_ready=True):
-    """Inline ``FastRuntime._make_item`` at a result site."""
+    """Buffer one output unit at a result site, inlined.
+
+    Mirrors ``_NCRuntime._make_item`` for untracked queues (the only
+    kind the fast path accepts): owner ``(n, 0)``, one chain, governed =
+    still-NA ancestor count.
+    """
     w = e.w
     n = plan.n
     if plan.schema_no_buffer:
@@ -482,7 +440,7 @@ def _emit_make_item(e, plan, ind, value_expr, simple,
         keywords += ", on_emit=" + on_emit
     if simple:
         # No instance is ever pending: output immediately, zero chains
-        # to wire (matches the interpreter's empty-pending branch).
+        # to wire (NC's empty-pending branch).
         w(ind, "item = new_item(%s, (%d, 0)%s, governed=0)"
           % (value_expr, n, keywords))
         w(ind, "item.live_chains = 1")

@@ -135,8 +135,8 @@ class XSQEngine:
     ``obs`` accepts an :class:`repro.obs.Observability` bundle; when
     attached, compilation and streaming are wrapped in spans, run stats
     flow into the metrics registry, and the bundle's
-    :class:`~repro.obs.events.EventTrace` (if any) replaces the plain
-    ``trace=True`` buffer trace.  When ``obs is None`` (the default) the
+    :class:`~repro.obs.events.EventTrace` (if any) records every buffer
+    operation.  When ``obs is None`` (the default) the
     hot loop is exactly the un-instrumented one.
     """
 
@@ -147,12 +147,7 @@ class XSQEngine:
     streaming = True
 
     def __init__(self, query: Union[str, Query], obs=None, *,
-                 cache=None, trace=None, schema=None):
-        if trace is not None:
-            raise DeprecationWarning(
-                "trace= was removed; attach an Observability bundle "
-                "(obs=Observability(events=EventTrace())) for "
-                "buffer-event tracing")
+                 cache=None, schema=None):
         self.obs = obs
         self.schema = None
         self._schema_dead = None

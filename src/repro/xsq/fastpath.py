@@ -1,4 +1,4 @@
-"""Compiled HPDT fast path: transition tables + a slot interpreter.
+"""Compiled HPDT fast path: transition tables lowered to a kernel.
 
 The interpreted runtimes pay per-event Python overhead the paper's
 C/Java systems never would: ``isinstance``-chained predicate dispatch,
@@ -21,11 +21,15 @@ Koch et al. freeze their stream schedule:
   every predicate lowered to a precompiled closure (no ``isinstance``,
   no attribute walks).  Text and child-text deciding events get the
   same treatment.
-* **Slot interpreter** (:class:`FastRuntime`): one preallocated
-  predicate-instance stack, integer depth gating, batched event feed
-  (``(kind, tag_id, payload, depth)`` tuples from
-  :meth:`~repro.streaming.sax_source.SaxEventSource.batches`), no Event
-  objects, no per-event attribute dispatch.
+* **Generated kernels** (:mod:`repro.xsq.codegen`): every plan is
+  lowered to a single closure-free dispatch function with the states
+  and tag ids baked in as constants, memoized on the plan
+  (``plan.kernel``) so it rides the HPDT compile cache exactly like the
+  tables themselves.  :class:`FastRuntime` holds the per-document state
+  around it: one preallocated predicate-instance stack, integer depth
+  gating, batched event feed (``(kind, tag_id, payload, depth)`` tuples
+  from :meth:`~repro.streaming.sax_source.SaxEventSource.batches`), no
+  Event objects, no per-event attribute dispatch.
 
 * **Element (catchall) output** runs on the fast path too: when the
   query has no output expression the runtime captures the matched
@@ -35,11 +39,6 @@ Koch et al. freeze their stream schedule:
   the same canonical serialization as the interpreted engines'
   :class:`~repro.streaming.serialize.EventSerializer` (comments/PIs
   dropped, CDATA and entities normalized at the parser boundary).
-* **Generated kernels** (:mod:`repro.xsq.codegen`): each plan can be
-  lowered further to a single closure-free dispatch function with the
-  states and tag ids baked in as constants, memoized on the plan
-  (``plan.kernel``) so it rides the HPDT compile cache exactly like the
-  tables themselves.
 
 Semantics are *identical* to the interpreted engines — the fast path
 reuses :class:`~repro.xsq.matcher.PredicateInstance`,
@@ -59,7 +58,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import FastPathUnsupportedError
-from repro.streaming.events import BEGIN, END, TEXT
 from repro.xpath.ast import (
     AggregateOutput,
     AttrExists,
@@ -77,13 +75,12 @@ from repro.xpath.ast import (
     compare,
 )
 from repro.xpath.parser import parse_query
-from repro.streaming.serialize import begin_tag, escape_text
 from repro.xsq.aggregates import StatBuffer
 from repro.xsq.buffers import BufferItem, OutputQueue
 from repro.xsq.compile_cache import compile_hpdt
 from repro.xsq.engine import RunStats
 from repro.xsq.hpdt import Hpdt
-from repro.xsq.matcher import Chain, PredicateInstance
+from repro.xsq.matcher import PredicateInstance
 
 
 class TagTable:
@@ -274,8 +271,7 @@ class FastPlan:
         self.query = query
         self.tags = tags
         #: ``(fn, note)`` once :func:`repro.xsq.codegen.compile_kernel`
-        #: has run (``fn`` is None when codegen rejected the plan);
-        #: None until then.  Memoized here so the kernel rides the
+        #: has run; None until then.  Memoized here so the kernel rides the
         #: HPDT compile cache exactly like the tables.
         self.kernel: Optional[tuple] = None
         #: Schema-derived state (None/False without a schema): per-state
@@ -476,26 +472,25 @@ def compile_fastplan(hpdt: Hpdt, tags: Optional[TagTable] = None,
 
 
 class FastRuntime:
-    """One table-driven deterministic pass over one document.
+    """One deterministic pass over one document, on the plan's kernel.
 
     Mirrors :class:`repro.xsq.nc._NCRuntime`'s depth-gated logic —
     including its sparse-feed safety under shared dispatch (at any
     moment the open element at depth ``matched`` is *the* matched one,
     so withheld events can never desynchronize the gate) — but consumes
-    batched tuples and dispatches through the compiled rows.  The
-    buffer discipline is the shared one: ``PredicateInstance``,
-    ``Chain`` and ``OutputQueue`` are reused unchanged, which is what
-    makes results, order, and RunStats counters identical to the
-    interpreted engines.
+    batched tuples through the plan's generated kernel
+    (:func:`repro.xsq.codegen.compile_kernel`), bound here as the
+    instance's ``run_batch``.  The buffer discipline is the shared one:
+    ``PredicateInstance``, ``Chain`` and ``OutputQueue`` are reused
+    unchanged, which is what makes results, order, and RunStats
+    counters identical to the interpreted engines.
     """
 
     def __init__(self, plan: FastPlan, hpdt: Hpdt, sink: list,
                  stat: Optional[StatBuffer] = None,
-                 queue: Optional[OutputQueue] = None,
-                 kernel: Optional[Callable] = None):
+                 queue: Optional[OutputQueue] = None):
         self.plan = plan
         self.hpdt = hpdt
-        self.sink = sink
         self.stat = stat
         self.queue = queue if queue is not None else OutputQueue(sink)
         if self.queue.track_ownership:
@@ -503,210 +498,27 @@ class FastRuntime:
                 "the fast path runs without per-operation instrumentation; "
                 "trace/accounting-bearing queues need an interpreted "
                 "runtime", reason="observability")
-        self.n = plan.n
         self.matched = 0
         #: Preallocated instance stack: slot m holds the activation of
         #: step m for the currently matched path (valid for m < matched).
         self.inst_stack: List[Optional[PredicateInstance]] = [None] * plan.n
-        self._live = 0
         self.peak_instances = 0
         #: Open element capture: the serialized parts of the matched
         #: subtree (None outside a match) and its buffered item.  Kept
-        #: on the runtime, not the loop, so captures survive arbitrary
+        #: on the runtime, not the kernel, so captures survive arbitrary
         #: batch splits (push mode feeds whatever chunks arrive).
         self._cap_parts: Optional[List[str]] = None
         self._cap_item: Optional[BufferItem] = None
-        out_kind = plan.out_kind
-        self._out_begin = (self._out_begin_attr if out_kind == "attr"
-                           else self._out_begin_count if out_kind == "count"
-                           else self._out_begin_element
-                           if out_kind == "element" else None)
-        self._out_text = (self._out_text_value if out_kind == "text"
-                          else self._out_text_agg if out_kind == "agg"
-                          else None)
-        if plan.schema_no_buffer:
-            # Static no-buffer allocation: the schema proves every
-            # instance on the stack is resolved by the time a result
-            # exists, so items skip the pending scan and chain wiring
-            # entirely and are marked for output at birth.
-            self._make_item = self._make_item_resolved
-        if kernel is not None:
-            # Bind the generated kernel as the *instance's* run_batch so
-            # every driver — pull loop, push handle, profiler sampling —
-            # goes through it; mixing kernel and interpreter steps on
-            # one runtime is never possible.
-            self.run_batch = kernel.__get__(self, FastRuntime)
-
-    # -- driving -----------------------------------------------------------
-
-    def run_batch(self, batch) -> None:
-        """Interpret one chunk of ``(kind, tag_id, payload, depth)``."""
-        matched = self.matched
-        n = self.n
-        inst_stack = self.inst_stack
-        plan = self.plan
-        begin_named = plan.begin_named
-        begin_default = plan.begin_default
-        text_tests = plan.text_tests
-        ct_named = plan.child_text_named
-        ct_default = plan.child_text_default
-        out_begin = self._out_begin
-        out_text = self._out_text
-        gates = plan.eager_gate
-        live = self._live
-        peak = self.peak_instances
-        cap = self._cap_parts
-        names = plan.tags.names
-
-        for event in batch:
-            kind = event[0]
-            if kind == BEGIN:
-                if cap is not None:
-                    attrs = event[2]
-                    if attrs:
-                        cap.append(begin_tag(names[event[1]], attrs))
-                    else:
-                        cap.append("<%s>" % names[event[1]])
-                if event[3] != matched + 1:
-                    continue
-                entry = begin_named[matched].get(event[1],
-                                                 begin_default[matched])
-                if entry is None:
-                    continue
-                watches, match = entry
-                if watches and matched:
-                    instance = inst_stack[matched - 1]
-                    if instance.status is None:
-                        pending = instance.pending
-                        attrs = event[2]
-                        for pred_index, test in watches:
-                            if pred_index in pending and (
-                                    test is None or test(attrs)):
-                                instance.witness(pred_index, self)
-                if match is None:
-                    continue
-                if gates is not None and matched:
-                    gate = gates[matched]
-                    if gate:
-                        # Eager resolution (schema): the parent's gated
-                        # predicates are provably decided by now, so a
-                        # still-pending one can never become true —
-                        # skip the descent instead of buffering under
-                        # a doomed chain.
-                        instance = inst_stack[matched - 1]
-                        if instance.status is None \
-                                and not instance.pending.isdisjoint(gate):
-                            continue
-                prog, const, undecided = match
-                verdict = prog(event[2]) if prog is not None else const
-                if verdict is False:
-                    continue
-                if verdict is True:
-                    instance = PredicateInstance(matched + 1, None)
-                else:
-                    instance = PredicateInstance(matched + 1,
-                                                 set(undecided))
-                inst_stack[matched] = instance
-                matched += 1
-                live += 1
-                if live > peak:
-                    peak = live
-                if matched == n and out_begin is not None:
-                    self.matched = matched
-                    out_begin(event)
-                    cap = self._cap_parts
-            elif kind == END:
-                if cap is not None:
-                    cap.append("</%s>" % names[event[1]])
-                    if event[3] == matched:
-                        # The captured element itself closed: finalize
-                        # its buffered value *before* the frame pops —
-                        # the NC runtime's queue-operation order.
-                        item = self._cap_item
-                        item.value = "".join(cap)
-                        self.queue.value_finalized(item)
-                        cap = self._cap_parts = self._cap_item = None
-                if event[3] == matched and matched:
-                    matched -= 1
-                    live -= 1
-                    instance = inst_stack[matched]
-                    if instance.status is None:
-                        instance.resolve_at_end(self)
-            else:  # TEXT
-                if cap is not None:
-                    cap.append(escape_text(event[2]))
-                depth = event[3]
-                if depth == matched and matched:
-                    tests = text_tests[matched]
-                    if tests:
-                        instance = inst_stack[matched - 1]
-                        if instance.status is None:
-                            pending = instance.pending
-                            text = event[2]
-                            for pred_index, test in tests:
-                                if pred_index in pending and test(text):
-                                    instance.witness(pred_index, self)
-                    if matched == n and out_text is not None:
-                        self.matched = matched
-                        out_text(event)
-                elif depth == matched + 1 and matched:
-                    entries = ct_named[matched].get(event[1],
-                                                    ct_default[matched])
-                    if entries:
-                        instance = inst_stack[matched - 1]
-                        if instance.status is None:
-                            pending = instance.pending
-                            text = event[2]
-                            for pred_index, test in entries:
-                                if pred_index in pending and test(text):
-                                    instance.witness(pred_index, self)
-
-        self.matched = matched
-        self._live = live
-        self.peak_instances = peak
-
-    def feed(self, event) -> None:
-        """Single-tuple feed (the batched form is the hot path)."""
-        self.run_batch((event,))
+        kernel = plan.kernel
+        if kernel is None:
+            from repro.xsq.codegen import compile_kernel
+            kernel = compile_kernel(plan)
+        # Bound on the instance so every driver — pull loop, push
+        # handle, profiler sampling — runs the same kernel.
+        self.run_batch = kernel[0].__get__(self, FastRuntime)
 
     def finish(self) -> None:
         self.queue.finish()
-
-    # -- result production -------------------------------------------------
-
-    def _out_begin_attr(self, event) -> None:
-        value = event[2].get(self.plan.out_attr)
-        if value is not None:
-            self._make_item(value)
-
-    def _out_begin_count(self, event) -> None:
-        self._make_item("1", on_emit=self._agg_emitter(1.0))
-
-    def _out_begin_element(self, event) -> None:
-        """Open a subtree capture at the matched element's begin event.
-
-        Mirrors ``_NCRuntime._on_result_begin``: the item is buffered
-        (not value-ready) first, then the serializer sees the opening
-        tag; ``run_batch`` appends every descendant event and the END
-        at the match depth finalizes the value.
-        """
-        self._cap_item = self._make_item(None, value_ready=False)
-        names = self.plan.tags.names
-        attrs = event[2]
-        if attrs:
-            self._cap_parts = [begin_tag(names[event[1]], attrs)]
-        else:
-            self._cap_parts = ["<%s>" % names[event[1]]]
-
-    def _out_text_value(self, event) -> None:
-        self._make_item(event[2])
-
-    def _out_text_agg(self, event) -> None:
-        try:
-            value = float(event[2].strip())
-        except ValueError:
-            return
-        self._make_item(event[2], on_emit=self._agg_emitter(value))
 
     def _agg_emitter(self, value: float) -> Callable[[BufferItem], None]:
         stat = self.stat
@@ -715,47 +527,6 @@ class FastRuntime:
             stat.update(value)
 
         return emit
-
-    def _make_item(self, value: Optional[str],
-                   on_emit: Optional[Callable] = None,
-                   value_ready: bool = True) -> BufferItem:
-        """Buffer one output unit against the single current embedding.
-
-        Matches ``_NCRuntime._make_item`` exactly for untracked queues
-        (the only kind the fast path accepts): owner ``(n, 0)``, one
-        chain, governed = still-NA ancestor count.
-        """
-        instances = tuple(self.inst_stack)
-        pending = [inst for inst in instances if inst.status is None]
-        item = self.queue.new_item(value, (self.n, 0),
-                                   value_ready=value_ready,
-                                   on_emit=on_emit,
-                                   governed=len(pending))
-        item.live_chains = 1
-        if not pending:
-            self.queue.mark_output(item)
-        else:
-            chain = Chain(item, len(pending), instances, ())
-            for instance in pending:
-                instance.chain_watchers.append(chain)
-        return item
-
-    def _make_item_resolved(self, value: Optional[str],
-                            on_emit: Optional[Callable] = None,
-                            value_ready: bool = True) -> BufferItem:
-        """:meth:`_make_item` under the schema's no-buffer proof.
-
-        Every instance on the stack is resolved whenever a result site
-        is reached (the eager gates skip descents under pending
-        predicates), so the pending scan and chain wiring are statically
-        eliminated: items are born output-marked.
-        """
-        item = self.queue.new_item(value, (self.n, 0),
-                                   value_ready=value_ready,
-                                   on_emit=on_emit, governed=0)
-        item.live_chains = 1
-        self.queue.mark_output(item)
-        return item
 
 
 class XSQEngineFast:
@@ -779,7 +550,7 @@ class XSQEngineFast:
     streaming = True
 
     def __init__(self, query: Union[str, Query], obs=None, *, cache=None,
-                 codegen: bool = True, schema=None):
+                 schema=None):
         if obs is not None and (obs.events is not None
                                 or obs.accounting is not None
                                 or obs.per_event_timing):
@@ -821,13 +592,10 @@ class XSQEngineFast:
             self.plan = compile_fastplan(self.hpdt,
                                          schema_info=schema_info)
         self.query = self.hpdt.query
-        self.codegen_enabled = codegen
-        if codegen:
-            from repro.xsq.codegen import compile_kernel
-            self.kernel, self.kernel_note = compile_kernel(self.plan)
-        else:
-            self.kernel = None
-            self.kernel_note = "codegen disabled (codegen=False)"
+        # Imported lazily: processes that only run NC/F never load the
+        # kernel generator.
+        from repro.xsq.codegen import compile_kernel
+        self.kernel, self.kernel_note = compile_kernel(self.plan)
         self.trace = None
         self.last_stats: Optional[RunStats] = None
         self.last_stat_buffer: Optional[StatBuffer] = None
@@ -858,8 +626,7 @@ class XSQEngineFast:
 
     def _drive(self, source, sink):
         stat = self._new_stat(False)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat,
-                              kernel=self.kernel)
+        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
         count = 0
         run_batch = runtime.run_batch
         for batch in self._as_batches(source):
@@ -883,8 +650,7 @@ class XSQEngineFast:
         keeps profiled fast runs within the 2x-throughput floor.
         """
         stat = self._new_stat(False)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat,
-                              kernel=self.kernel)
+        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
         prof.note_engine(self.name)
         clock = prof.clock
         interval = prof.sample_interval
@@ -923,8 +689,7 @@ class XSQEngineFast:
         """
         sink: list = []
         stat = self._new_stat(True)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat,
-                              kernel=self.kernel)
+        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
         count = 0
         for batch in self._as_batches(source):
             count += len(batch)
@@ -959,8 +724,7 @@ class XSQEngineFast:
         from repro.xsq.push import FastPushHandle
         sink: list = []
         stat = self._new_stat(streaming_agg)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat,
-                              kernel=self.kernel)
+        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
         return FastPushHandle(self, runtime, sink, stat=stat,
                               streaming_agg=streaming_agg)
 
@@ -994,10 +758,7 @@ class XSQEngineFast:
     def explain(self) -> str:
         lines = [self.hpdt.describe(), "",
                  "runtime: xsq-fast (%s)" % self.plan.describe()]
-        if self.kernel is not None:
-            lines.append("kernel: %s" % self.kernel_note)
-        else:
-            lines.append("kernel: interpreted slots (%s)" % self.kernel_note)
+        lines.append("kernel: %s" % self.kernel_note)
         if self.plan.schema_note:
             lines.append(self.plan.schema_note)
         if self.plan.schema_no_buffer:

@@ -71,12 +71,10 @@ class MultiQueryEngine:
     name = "multiquery"
 
     def __init__(self, queries: Sequence[Union[str, Query]], obs=None, *,
-                 shared_dispatch: bool = True, cache=None,
-                 codegen: bool = True):
+                 shared_dispatch: bool = True, cache=None):
         if not queries:
             raise ValueError("MultiQueryEngine needs at least one query")
         self.obs = obs
-        self.codegen_enabled = codegen
         if obs is not None:
             with obs.span("compile", engine=self.name, queries=len(queries)):
                 with obs.span("hpdt-compile"):
@@ -110,13 +108,6 @@ class MultiQueryEngine:
                 "repro_dispatch_max_bucket_queries",
                 "largest per-tag fanout in the shared dispatch index",
                 engine=self.name).set(shape["max_bucket"])
-
-    @classmethod
-    def from_union(cls, text: str) -> "MultiQueryEngine":
-        """Removed: use ``repro.compile(text)`` on the union query."""
-        raise DeprecationWarning(
-            "MultiQueryEngine.from_union was removed; use repro.compile() "
-            "which handles union queries directly")
 
     @property
     def query_count(self) -> int:
@@ -185,19 +176,11 @@ class MultiQueryEngine:
                 "%d member(s) outside the fast-path class keep the "
                 "group interpreted" % bad)
             return None
-        if self.codegen_enabled:
-            from repro.xsq.codegen import compile_kernel
-            kernels = []
-            for i, plan in enumerate(plans):
-                kernel, note = compile_kernel(plan)
-                kernels.append(kernel)
-                self.member_kernel_notes[i] = note
-        else:
-            kernels = [None] * len(plans)
-            self.member_kernel_notes = \
-                ["codegen disabled (codegen=False)"] * len(plans)
+        from repro.xsq.codegen import compile_kernel
+        self.member_kernel_notes = [compile_kernel(plan)[1]
+                                    for plan in plans]
         routes, default = self.index.id_routes(tags)
-        return tags, plans, kernels, routes, default
+        return tags, plans, routes, default
 
     def member_selection_notes(self) -> List[str]:
         """One engine-selection line per member query, for explain()."""
@@ -221,12 +204,12 @@ class MultiQueryEngine:
         """run() on compiled runtimes: batch, partition by tag id, drive.
 
         Events are partitioned into per-runtime sub-batches with one
-        int-keyed route lookup each, then each runtime interprets its
-        sub-batch in one call — the per-event Python dispatch of
+        int-keyed route lookup each, then each runtime runs its
+        sub-batch in one kernel call — the per-event Python dispatch of
         ``_pump_dispatch`` collapses into ``len(batch)`` appends plus a
         handful of ``run_batch`` calls per chunk.
         """
-        tags, plans, kernels, routes, default = self._fast
+        tags, plans, routes, default = self._fast
         if sinks is None:
             sinks = [[] for _ in self.queries]
         elif len(sinks) != len(self.queries):
@@ -234,13 +217,11 @@ class MultiQueryEngine:
                              % (len(self.queries), len(sinks)))
         runtimes: List[FastRuntime] = []
         stats: List[Optional[StatBuffer]] = []
-        for plan, hpdt, query, sink, kernel in zip(plans, self.hpdts,
-                                                   self.queries, sinks,
-                                                   kernels):
+        for plan, hpdt, query, sink in zip(plans, self.hpdts, self.queries,
+                                           sinks):
             stat = (StatBuffer(query.output.name)
                     if isinstance(query.output, AggregateOutput) else None)
-            runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat,
-                                        kernel=kernel))
+            runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat))
             stats.append(stat)
         routes_get = routes.get
         subs: List[list] = [[] for _ in runtimes]
@@ -542,12 +523,6 @@ class MultiQueryEngine:
             sink = []
         sink.extend(value for _, value in tagged)
         return sink
-
-    def run_merged(self, source) -> List[str]:
-        """Removed: use ``repro.compile()`` on a union query instead."""
-        raise DeprecationWarning(
-            "MultiQueryEngine.run_merged was removed; compile the union "
-            "with repro.compile() and call .run()")
 
     def push(self, merged: bool = False):
         """Open a push handle over all member queries for one document.

@@ -360,12 +360,7 @@ class XSQEngineNC:
     streaming = True
 
     def __init__(self, query: Union[str, Query], obs=None, *,
-                 cache=None, trace=None, schema=None):
-        if trace is not None:
-            raise DeprecationWarning(
-                "trace= was removed; attach an Observability bundle "
-                "(obs=Observability(events=EventTrace())) for "
-                "buffer-event tracing")
+                 cache=None, schema=None):
         self.obs = obs
         self.schema = None
         self._schema_dead = None

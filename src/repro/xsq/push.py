@@ -24,10 +24,9 @@ differential suite proves it byte-for-byte):
 ``CompiledQuery.stats`` work identically to pull mode) and closes the
 handle.  Handles are single-document: create a new one per document.
 
-The fast-path handle drives whatever ``run_batch`` its runtime was
-constructed with, so a generated codegen kernel
-(:mod:`repro.xsq.codegen`) accelerates push feeds exactly as it does
-pull loops -- the chunk-split suite covers both.
+The fast-path handle drives its runtime's generated kernel
+(:mod:`repro.xsq.codegen`), the same one pull loops run -- the
+chunk-split suite covers both.
 
 Every handle carries a ``latency`` slot (default ``None``) for an
 optional :class:`repro.obs.latency.LatencyRecorder`: when attached (the

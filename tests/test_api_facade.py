@@ -1,5 +1,4 @@
-"""The repro.compile() facade, the HPDT compile cache, and the
-deprecation shims around the old entry points."""
+"""The repro.compile() facade and the HPDT compile cache."""
 
 import warnings
 
@@ -30,18 +29,14 @@ class TestCompileFacade:
         assert q.run(XML) == ["<name>N</name>"]
         assert "fast path not selected" not in q.explain()
 
-    def test_codegen_escape_hatch_pins_slot_interpreter(self):
-        q = repro.compile("/pub/book/name/text()", codegen=False)
-        assert isinstance(q.engine, XSQEngineFast)
-        assert q.engine.kernel is None
-        assert "codegen disabled" in q.explain()
-        assert q.run(XML) == ["N"]
-
     def test_forced_codegen_engine(self):
-        q = repro.compile("/pub/book/name/text()", engine="codegen")
+        # engine="fast" always runs the generated kernel.
+        q = repro.compile("/pub/book/name/text()", engine="fast")
         assert q.engine.kernel is not None
         assert "generated kernel" in q.explain()
-        assert q.run(XML) == ["N"]
+        nc = repro.compile("/pub/book/name/text()", engine="nc")
+        assert q.run(XML) == nc.run(XML) == ["N"]
+        assert q.stats.as_dict() == nc.stats.as_dict()
 
     def test_auto_falls_back_to_f_on_closure(self):
         q = repro.compile("//name/text()")
@@ -246,24 +241,7 @@ class TestHpdtCache:
 
 
 class TestDeprecations:
-    """The PR-2 shims are gone: each raises pointing at its replacement."""
-
-    def test_run_merged_raises(self):
-        engine = MultiQueryEngine(["/a/text()"])
-        with pytest.raises(DeprecationWarning, match="repro.compile"):
-            engine.run_merged("<a>x</a>")
-        # The replacement: compile the union text.
-        assert repro.compile("/a/text()").run("<a>x</a>") == ["x"]
-
-    def test_from_union_raises(self):
-        with pytest.raises(DeprecationWarning, match="repro.compile"):
-            MultiQueryEngine.from_union("/r/a/text() | /r/b/text()")
-
-    def test_trace_kwarg_raises(self):
-        with pytest.raises(DeprecationWarning, match="Observability"):
-            XSQEngine("/a/text()", trace=True)
-        with pytest.raises(DeprecationWarning, match="Observability"):
-            XSQEngineNC("/a/text()", trace=True)
+    """The old entry points are gone; their replacements never warn."""
 
     def test_new_paths_do_not_warn(self):
         with warnings.catch_warnings():

@@ -1,11 +1,13 @@
-"""Generated fast-path kernels (ISSUE 9) and element output corners.
+"""Generated fast-path kernels and element output corners.
 
-Two contracts under test:
+Three contracts under test:
 
-* the codegen tier is invisible: a generated kernel, the slot
-  interpreter it replaces, the interpreted NC engine and the DOM
-  oracle all return the same items (and the engines the same stats) —
-  including on element output, which PR 9 moved onto the fast path;
+* the generated kernel is invisible: it, the interpreted NC and F
+  engines and the DOM oracle all return the same items (and the
+  kernel the same stats as NC) — including on element output;
+* every plan gets a kernel: paths thousands of steps deep and
+  transition rows thousands of entries wide compile too, because
+  state and tag dispatch are flat blocks, not nested ``elif`` chains;
 * element serialization is canonical: CDATA sections, entity
   references, comments/PIs inside the output subtree and mixed content
   all serialize exactly as the interpreted ``EventSerializer`` and the
@@ -17,8 +19,8 @@ import pytest
 
 import repro
 from repro.baselines.dom import build_dom, evaluate
-from repro.errors import FastPathUnsupportedError
-from repro.xsq.codegen import MAX_STATES, compile_kernel, kernel_source
+from repro.xsq.codegen import compile_kernel, kernel_source
+from repro.xsq.engine import XSQEngine
 from repro.xsq.fastpath import XSQEngineFast, compile_fastplan
 from repro.xsq.nc import XSQEngineNC
 
@@ -44,14 +46,14 @@ ELEMENT_QUERIES = ["/pub/book/name", "/pub/book", "/pub/book[author]",
 
 
 def all_engine_results(query, doc):
-    """(codegen, interpreted-fast, nc, dom) result lists for ``query``."""
-    codegen = repro.compile(query, engine="fast")
-    interp = XSQEngineFast(query, codegen=False)
-    assert interp.kernel is None
-    results = (codegen.run(doc), interp.run(doc),
-               XSQEngineNC(query).run(doc),
+    """(kernel, nc, f, dom) result lists for ``query``; the kernel's
+    RunStats must equal NC's."""
+    fast = repro.compile(query, engine="fast")
+    assert fast.engine.kernel is not None
+    nc = XSQEngineNC(query)
+    results = (fast.run(doc), nc.run(doc), XSQEngine(query).run(doc),
                evaluate(build_dom(doc), query))
-    assert codegen.engine.kernel is not None
+    assert fast.stats.as_dict() == nc.stats.as_dict(), query
     return results
 
 
@@ -59,8 +61,8 @@ class TestElementOutputCorners:
     @pytest.mark.parametrize("doc", CORNER_DOCS)
     @pytest.mark.parametrize("query", ELEMENT_QUERIES)
     def test_four_way_agreement(self, query, doc):
-        codegen, interp, nc, dom = all_engine_results(query, doc)
-        assert codegen == interp == nc == dom
+        fast, nc, f, dom = all_engine_results(query, doc)
+        assert fast == nc == f == dom
 
     def test_cdata_re_escaped_not_spliced(self):
         got = repro.compile("/pub/book/name").run(DOC_CDATA)
@@ -102,12 +104,6 @@ class TestKernelGeneration:
         runtime = engine.push()._runtime
         assert "run_batch" in runtime.__dict__
 
-    def test_codegen_off_leaves_interpreter(self):
-        engine = XSQEngineFast("/pub/book/name/text()", codegen=False)
-        assert engine.kernel is None
-        runtime = engine.push()._runtime
-        assert "run_batch" not in runtime.__dict__
-
     def test_kernel_source_is_inspectable(self):
         engine = XSQEngineFast("/pub/book/name/text()")
         source = engine.kernel.__xsq_source__
@@ -121,29 +117,58 @@ class TestKernelGeneration:
         first = compile_kernel(plan)
         assert compile_kernel(plan) is first
 
-    def test_deep_query_rejected_cleanly(self):
-        deep = "/" + "/".join("s%d" % i for i in range(MAX_STATES + 1))
-        engine = XSQEngineFast(deep + "/text()")
-        assert engine.kernel is None
-        assert "states" in engine.kernel_note
-        # ...but the slot interpreter still runs it.
-        doc = "".join("<s%d>" % i for i in range(MAX_STATES + 1))
-        doc += "x" + "".join("</s%d>" % i
-                             for i in reversed(range(MAX_STATES + 1)))
-        assert engine.run(doc) == ["x"]
-
-    def test_forced_codegen_raises_on_rejection(self):
-        deep = "/" + "/".join("s%d" % i for i in range(MAX_STATES + 1))
-        with pytest.raises(FastPathUnsupportedError) as info:
-            repro.compile(deep + "/text()", engine="codegen")
-        assert info.value.reason == "codegen-rejected"
-
     def test_explain_names_the_kernel(self):
         explain = repro.compile("/pub/book/name/text()").explain()
-        assert "generated kernel" in explain
-        off = repro.compile("/pub/book/name/text()",
-                            codegen=False).explain()
-        assert "codegen disabled" in off
+        assert "kernel: generated kernel" in explain
+
+
+def assert_huge_plan_agrees(query, doc, expected):
+    """A huge plan gets a generated kernel whose results equal XSQ-NC
+    and the DOM oracle (and its RunStats equal NC's)."""
+    engine = XSQEngineFast(query, cache=False)
+    assert engine.kernel is not None
+    assert engine.kernel_note.startswith("generated kernel")
+    nc = XSQEngineNC(query, cache=False)
+    assert engine.run(doc) == expected
+    assert nc.run(doc) == expected
+    assert evaluate(build_dom(doc), query) == expected
+    assert engine.stats.as_dict() == nc.stats.as_dict()
+
+
+class TestHugePlans:
+    """Plans far beyond any workload shape still compile to kernels:
+    each of these overflows Python's compiler if state or tag dispatch
+    is emitted as one nested ``elif`` chain."""
+
+    def test_deep_path_gets_kernel(self):
+        # 3,000 child steps with [@k] on every other one.  One branch
+        # matches down to "x"; a second branch drops @k at step 1,500.
+        depth, split = 3000, 1500
+        query = "/" + "/".join("s%d[@k]" % i if i % 2 == 0 else "s%d" % i
+                               for i in range(depth)) + "/text()"
+
+        def opening(i, keep=True):
+            if i % 2 == 0 and keep:
+                return "<s%d k='1'>" % i
+            return "<s%d>" % i
+
+        def closing(low, high=depth):
+            return "".join("</s%d>" % i for i in reversed(range(low, high)))
+
+        doc = "".join(opening(i) for i in range(depth)) + "x" + closing(split)
+        doc += opening(split, keep=False)
+        doc += "".join(opening(i) for i in range(split + 1, depth))
+        doc += "y" + closing(split) + closing(0, split)
+        assert_huge_plan_agrees(query, doc, ["x"])
+
+    def test_wide_row_gets_kernel(self):
+        # One state watching 5,000 distinct child tags: [b0]...[b4999].
+        width = 5000
+        query = ("/r/a" + "".join("[b%d]" % i for i in range(width))
+                 + "/c/text()")
+        doc = ("<r><a>" + "".join("<b%d/>" % i for i in range(width))
+               + "<c>yes</c></a><a><b0/><b1/><c>no</c></a></r>")
+        assert_huge_plan_agrees(query, doc, ["yes"])
 
 
 class TestKernelEquivalenceWithStats:
@@ -158,12 +183,12 @@ class TestKernelEquivalenceWithStats:
     @pytest.mark.parametrize("query", QUERIES)
     def test_kernel_matches_interpreter_and_stats(self, query):
         with_kernel = XSQEngineFast(query)
-        without = XSQEngineFast(query, codegen=False)
-        assert with_kernel.run(self.DOC) == without.run(self.DOC)
+        interpreted = XSQEngineNC(query)
+        assert with_kernel.run(self.DOC) == interpreted.run(self.DOC)
         for field in ("emitted", "enqueued", "cleared",
                       "peak_buffered_items", "peak_instances"):
             assert (getattr(with_kernel.stats, field)
-                    == getattr(without.stats, field)), field
+                    == getattr(interpreted.stats, field)), field
 
 
 class TestPushModeKernels:

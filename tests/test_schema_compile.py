@@ -10,9 +10,9 @@ Four contracts under test:
   the same query text compiled with and without (or with a different)
   DTD can never collide;
 * **observable equivalence** — schema-on and schema-off runs return
-  identical results on schema-valid documents across all four engine
-  tiers and push mode, while the schema-on run measurably buffers
-  less;
+  identical results on schema-valid documents across every engine
+  tier (XSQ-F, XSQ-NC, the generated fast kernel) and push mode, while
+  the schema-on run measurably buffers less;
 * **schema-off neutrality** — with ``schema=None`` nothing changes
   structurally: no gate fields, no gate code in generated kernels, and
   ``repro.xsq.schema_compile`` is never even imported.
@@ -275,10 +275,7 @@ class TestFourTierEquivalence:
         for build in (
                 lambda q, **kw: XSQEngine(q, cache=False, **kw),
                 lambda q, **kw: XSQEngineNC(q, cache=False, **kw),
-                lambda q, **kw: XSQEngineFast(q, cache=False,
-                                              codegen=False, **kw),
-                lambda q, **kw: XSQEngineFast(q, cache=False,
-                                              codegen=True, **kw)):
+                lambda q, **kw: XSQEngineFast(q, cache=False, **kw)):
             off = build(query).run(VALID_XML)
             on = build(query, schema=ORDERED_DTD).run(VALID_XML)
             assert off == on == expected, query
@@ -350,15 +347,12 @@ class TestSchemaOffNeutrality:
         assert not engine.plan.schema_no_buffer
 
     def test_schema_off_kernel_has_no_gate_code(self):
-        engine = XSQEngineFast(GATED_QUERY, cache=False, codegen=True)
-        source = kernel_source(engine.plan)
-        assert source is not None and "isdisjoint" not in source
+        engine = XSQEngineFast(GATED_QUERY, cache=False)
+        assert "isdisjoint" not in kernel_source(engine.plan)
 
     def test_schema_on_kernel_gates(self):
-        engine = XSQEngineFast(GATED_QUERY, cache=False, codegen=True,
-                               schema=ORDERED_DTD)
-        source = kernel_source(engine.plan)
-        assert source is not None and "isdisjoint" in source
+        engine = XSQEngineFast(GATED_QUERY, cache=False, schema=ORDERED_DTD)
+        assert "isdisjoint" in kernel_source(engine.plan)
         assert engine.run(VALID_XML) == oracle(GATED_QUERY, VALID_XML)
 
     def test_schema_module_never_imported_without_schema(self):
