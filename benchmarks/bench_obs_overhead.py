@@ -1,10 +1,10 @@
 """Observability overhead: the disabled path must cost nothing.
 
-Engines take ``obs=None`` by default and run the original
-un-instrumented event loops, so attaching nothing should time within
-noise of the seed.  The other groups price what the instrumentation
-actually costs when it *is* attached — spans + metrics + event trace,
-and the per-event dispatch timer on top.
+Engines take ``obs=None`` by default; a document session opened without
+a bundle binds the runtime's own methods into its loop, so attaching
+nothing should time within noise of the seed.  The other groups price
+what the instrumentation actually costs when it *is* attached — spans +
+metrics + event trace, and the per-event dispatch timer on top.
 """
 
 import pytest
@@ -82,16 +82,26 @@ def test_obs_per_event_timing(benchmark, shake):
 def test_disabled_path_skips_instrumentation(shake):
     """The acceptance bound, made falsifiable.
 
-    ``obs=None`` is the seed loop by construction — ``run()`` branches
-    to the original un-instrumented pump before the first event — so
-    "disabled regresses <5% vs seed" can only break if that branch
-    disappears and the disabled path starts paying per-event
-    instrumentation.  In that failure mode the disabled and attached
-    timings converge; here we assert they have not (the attached bundle
+    ``obs=None`` is the seed loop by construction — the session chooses
+    its instruments once, when it opens, and without a bundle it binds
+    the runtime's own ``feed`` with no hook, histogram or timer around
+    it — so "disabled regresses <5% vs seed" can only break if that
+    choice disappears and the disabled path starts paying per-event
+    instrumentation.  Both halves are asserted: the bare session binds
+    the plain method while an attached one wraps it, and the disabled
+    and attached timings have not converged (the attached bundle
     samples a histogram and records a trace entry per buffer op, which
     costs well over 5%).
     """
     import time
+
+    from repro.xsq.matcher import MatcherRuntime
+
+    bare = XSQEngine(QUERY).push()
+    assert bare._feed.__func__ is MatcherRuntime.feed
+    attached = XSQEngine(QUERY, obs=Observability()).push()
+    assert getattr(attached._feed, "__func__", None) is not \
+        MatcherRuntime.feed
 
     def best_of(fn, runs=5):
         samples = []
@@ -189,17 +199,31 @@ def test_interpreted_paths_never_import_codegen():
 def test_uninstrumented_runs_bind_plain_methods():
     """Satellite check: the per-event None-tests are hoisted to setup.
 
-    An un-instrumented :class:`OutputQueue` binds the ``_plain``
-    method variants once in ``__init__``; an instrumented one keeps the
-    class methods.  Likewise :class:`MatcherRuntime` binds the plain
-    end-handler when no accountant is attached.  If these bindings
-    disappear, every buffer op and end event pays the None-checks
-    again — the regression the benchmark group above would then show.
+    An ``obs=None`` session binds the runtime's plain ``feed`` (single
+    query) or its plain per-kind handlers (query group) and no
+    observer.  Below it, an un-instrumented :class:`OutputQueue` binds
+    the ``_plain`` method variants once in ``__init__``; an
+    instrumented one keeps the class methods.  Likewise
+    :class:`MatcherRuntime` binds the plain end-handler when no
+    accountant is attached.  If these bindings disappear, every event
+    and buffer op pays the None-checks again — the regression the
+    benchmark group above would then show.
     """
     from repro.obs.accounting import ResourceAccountant
     from repro.xsq.buffers import BufferTrace, OutputQueue
     from repro.xsq.hpdt import Hpdt
     from repro.xsq.matcher import MatcherRuntime
+    from repro.xsq.multiquery import MultiQueryEngine
+
+    session = XSQEngine(QUERY).push()
+    assert session._feed.__func__ is MatcherRuntime.feed
+    assert session._runtime.on_end.__func__ is MatcherRuntime._on_end_plain
+    assert session._runtime.queue.new_item.__func__ is \
+        OutputQueue._new_item_plain
+    group = MultiQueryEngine([QUERY, "/PLAY/TITLE/text()"]).push()
+    assert group._observe is None
+    assert all(handler.__func__ is MatcherRuntime._on_end_plain
+               for handler in group._ends)
 
     plain = OutputQueue([])
     assert plain.new_item.__func__ is OutputQueue._new_item_plain
@@ -240,10 +264,10 @@ def test_accounting_off_attaches_nothing():
 
 @pytest.mark.benchmark(group="obs-overhead")
 def test_obs_profile_interpreted(benchmark, shake):
-    """Full profiled pump on the interpreted engine.
+    """Full per-event profiling on the interpreted engine.
 
     Every event pays two extra clock reads (the consecutive-timestamp
-    pump) plus the queue proxy on buffer ops — the price of exact,
+    feed wrapper) plus the queue proxy on buffer ops — the price of exact,
     unsampled attribution.
     """
 
@@ -272,18 +296,28 @@ def test_obs_fastpath_profile_sampled(benchmark, shake):
 
 
 def test_profiler_off_skips_instrumentation(shake):
-    """Profiler-off is the seed pump, structurally.
+    """Profiler-off is the seed loop, structurally.
 
-    A default bundle carries no profiler, so ``run()`` takes the
-    un-profiled branch: no queue proxy is installed, no per-event
-    clock reads happen, and no profile phases accumulate.  An attached
-    profiler on the same engine does accumulate them — the pair makes
-    "profiling off costs nothing" falsifiable without a timing race.
+    A default bundle carries no profiler, so the sessions it opens wrap
+    nothing of the profiler's: no queue proxy is installed, the
+    runtime's ``finish`` and the kernel's ``run_batch`` stay the
+    runtime's own, no per-event clock reads happen, and no profile
+    phases accumulate.  An attached profiler on the same engine does
+    accumulate them — the pair makes "profiling off costs nothing"
+    falsifiable without a timing race.
     """
-    from repro.obs.profile import Profiler
+    from repro.obs.profile import Profiler, _ProfiledQueue
 
     obs = Observability(spans=False, events=False)
     assert obs.profiler is None
+    session = XSQEngine(QUERY, obs=obs).push()
+    runtime = session._runtime
+    assert not isinstance(runtime.queue, _ProfiledQueue)
+    assert runtime.prof is None
+    assert "finish" not in vars(runtime)
+    fast = XSQEngineFast(QUERY, obs=obs).push()
+    assert fast._run_batch.__func__ is fast._engine.kernel
+    assert "finish" not in vars(fast._runtime)
     XSQEngine(QUERY, obs=obs).run(shake)
 
     prof = Profiler()

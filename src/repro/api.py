@@ -41,6 +41,7 @@ from repro.xsq.engine import RunStats, XSQEngine
 from repro.xsq.fastpath import XSQEngineFast
 from repro.xsq.multiquery import MultiQueryEngine
 from repro.xsq.nc import XSQEngineNC
+from repro.xsq.push import NullPushHandle
 
 QueryLike = Union[str, Query]
 
@@ -62,8 +63,7 @@ class EmptyEngine:
         return iter(())
 
     def push(self, streaming_agg: bool = False):
-        from repro.xsq.push import NullPushHandle
-        return NullPushHandle()
+        return NullPushHandle(self)
 
     def explain(self) -> str:
         if self.note:

@@ -117,8 +117,8 @@ class Observability:
             ResourceAccountant(self.metrics, audit=audit)
             if accounting or audit else None)
         # ``profile`` accepts True (default sampling) or a configured
-        # :class:`~repro.obs.profile.Profiler`; ``None`` keeps engines'
-        # un-profiled pumps.
+        # :class:`~repro.obs.profile.Profiler`; ``None`` leaves the
+        # document sessions' runtimes unwrapped.
         if profile is True:
             self.profiler: Optional[Profiler] = Profiler()
         elif profile:
@@ -281,11 +281,15 @@ class Observability:
         metrics.histogram("repro_peak_occupancy_items",
                           "per-run peak buffer occupancy",
                           engine=engine).observe(stats.peak_buffered_items)
-        if seconds > 0:
-            metrics.gauge("repro_events_per_second",
-                          "stream events per second of query phase",
-                          engine=engine).set(stats.events / seconds)
+        self.record_rate(engine, stats.events, seconds)
         self._aggregate_events(engine)
+
+    def record_rate(self, engine: str, events: int, seconds: float) -> None:
+        """Set the events-per-second gauge from a timed pass."""
+        if seconds > 0:
+            self.metrics.gauge("repro_events_per_second",
+                               "stream events per second of query phase",
+                               engine=engine).set(events / seconds)
 
     def _aggregate_events(self, engine: str) -> None:
         """Per-BPDT op counters and depth-vector sizes from the trace."""

@@ -5,18 +5,19 @@ automaton and buffer phases; :class:`Profiler` reproduces that split
 from *live attribution* instead of separate instrumented builds.  It
 rides the same ``obs=`` seam as the rest of :mod:`repro.obs`:
 
-* **Interpreted engines** (XSQ-F, XSQ-NC, grouped multi-query) run a
-  profiled pump that timestamps every event exactly once per phase
+* **Interpreted engines** (XSQ-F, XSQ-NC, grouped multi-query): the
+  document session wraps each runtime's feed (or, in a group, each
+  member's handlers) in a timer that reads the clock at every phase
   boundary — the time between two consecutive clock reads is attributed
-  to the phase between them, so parse + automaton sum to the loop's
-  wall time by construction.  Buffer and output sub-phases come from a
+  to the phase between them, so parse + automaton sum to the session
+  loop's wall time by construction.  Buffer and output sub-phases come from a
   wrapping :class:`_ProfiledQueue`; predicate evaluation from gated
   timing inside the matchers' watch scans.
-* **The compiled fast path** keeps its batched hot loop: every batch is
+* **The compiled fast path** keeps its batched kernel: every batch is
   timed at the batch boundary (four clock reads per ~2048 events,
   noise-level), and *per-event* attribution — hot HPDT state, hot tag,
   buffer ops — is sampled on every ``sample_interval``-th batch, then
-  scaled.  Unsampled batches execute the unchanged seed loop, so the
+  scaled.  Unsampled batches execute the unchanged kernel, so the
   fast path's throughput floor holds.
 
 Phase vocabulary (the keys of :attr:`Profiler.phases`):
@@ -51,7 +52,7 @@ or ``xsq profile QUERY FILE`` on the command line.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Default fast-path sampling interval: one batch in 64 gets per-event
 #: attribution (~2048-event batches -> ~1.6% of events pay the per-event
@@ -70,7 +71,7 @@ class _ProfiledQueue:
     Public buffer operations are timed into the profiler's ``buffer``
     and ``output`` phases; everything else (counters, ``track_ownership``,
     the plain-bound method variants) delegates to the wrapped queue, so
-    engines' ``_capture_stats`` read through it unchanged.
+    stats read through it unchanged.
     """
 
     __slots__ = ("_inner", "_prof")
@@ -117,8 +118,8 @@ class Profiler:
 
     Attach via ``Observability(profile=True)`` (or pass a configured
     instance: ``Observability(profile=Profiler(sample_interval=16))``).
-    Engines route their pumps through :meth:`pump_events` /
-    :meth:`sample_batch`; drivers stamp :attr:`wall` and call
+    Document sessions instrument the runtimes they drive through the
+    ``timed_*`` hooks; drivers stamp :attr:`wall` and call
     :meth:`report`.
     """
 
@@ -167,141 +168,185 @@ class Profiler:
             cell[0] += seconds
             cell[1] += 1
 
-    # -- engine hooks ----------------------------------------------------
+    def _cell(self, name: str) -> List[float]:
+        return self.phases.setdefault(name, [0.0, 0])
 
-    def wrap_runtime(self, runtime) -> None:
-        """Install the queue proxy and the matcher predicate hook."""
-        if not isinstance(runtime.queue, _ProfiledQueue):
-            runtime.queue = _ProfiledQueue(runtime.queue, self)
-        # MatcherRuntime/_NCRuntime read ``self.prof`` inside their
-        # watch-scan branches; FastRuntime has no such attribute (its
-        # predicate work stays inside the automaton residue).
-        if hasattr(runtime, "prof"):
-            runtime.prof = self
+    # -- session hooks ---------------------------------------------------
+    #
+    # A document session (repro.xsq.push) calls one of the ``timed_*``
+    # hooks when it opens, to instrument the runtimes it drives; its
+    # loop is the one un-profiled sessions run.  Each hook's clock
+    # reads chain from the session's open: the read that closes one
+    # feed window opens the next parse window, so parse + automaton
+    # equal the wall time of the session's feeds by construction.
 
-    def pump_events(self, engine: str, events: Iterable, runtime,
-                    on_event=None) -> int:
-        """The profiled per-event loop for the interpreted engines.
-
-        Consecutive clock reads make parse + automaton equal the loop
-        wall exactly: the read that closes one event's feed window opens
-        the next event's parse window.
-        """
+    def attach(self, engine: str, runtime, proxy: bool = True) -> None:
+        """Time ``runtime``'s end-of-stream drain into ``finish``; with
+        ``proxy``, also its buffer ops (the queue proxy) and predicate
+        scans (the matchers read ``runtime.prof``)."""
         self.note_engine(engine)
-        self.wrap_runtime(runtime)
+        if proxy:
+            runtime.queue = _ProfiledQueue(runtime.queue, self)
+            # MatcherRuntime/_NCRuntime read ``self.prof`` inside their
+            # watch-scan branches; FastRuntime has no such attribute
+            # (its predicate work stays inside the automaton residue).
+            if hasattr(runtime, "prof"):
+                runtime.prof = self
+        finish = runtime.finish
         clock = self.clock
-        feed = runtime.feed
+
+        def timed_finish():
+            # Unwrap the queue proxy first: the end-of-stream drain
+            # belongs to ``finish``, not ``output`` (which sub-divides
+            # ``automaton``), and the session's stats read the real
+            # queue after.
+            queue = runtime.queue
+            if isinstance(queue, _ProfiledQueue):
+                runtime.queue = queue._inner
+            t0 = clock()
+            finish()
+            self.add_phase("finish", clock() - t0)
+
+        runtime.finish = timed_finish
+
+    def timed_feed(self, engine: str, runtime, feed):
+        """``feed`` timed per event, by HPDT state and tag (interpreted
+        single-query sessions)."""
+        self.attach(engine, runtime)
+        clock = self.clock
         state_of = getattr(runtime, "profile_state", None)
+        parse = self._cell("parse")
+        automaton = self._cell("automaton")
         states = self.states
         tags = self.tags
-        parse = 0.0
-        automaton = 0.0
-        count = 0
-        t0 = clock()
-        for event in events:
+        bump = self._bump
+        last = clock()
+
+        def profiled(event):
+            nonlocal last
             t1 = clock()
-            if on_event is not None:
-                on_event(event)
             m = state_of() if state_of is not None else -1
             feed(event)
             t2 = clock()
-            parse += t1 - t0
             dt = t2 - t1
-            automaton += dt
-            count += 1
-            self._bump(states, (engine, m), dt)
-            self._bump(tags, event.tag, dt)
-            t0 = t2
-        self.add_phase("parse", parse, count)
-        self.add_phase("automaton", automaton, count)
-        self.events += count
-        return count
+            parse[0] += t1 - last
+            parse[1] += 1
+            automaton[0] += dt
+            automaton[1] += 1
+            bump(states, (engine, m), dt)
+            bump(tags, event.tag, dt)
+            self.events += 1
+            last = t2
 
-    def pump_dispatch(self, engine: str, events: Iterable, runtimes,
-                      labels: List[str], routes_get, default,
-                      on_event=None) -> int:
-        """Profiled shared-dispatch loop with per-query attribution."""
-        self.note_engine(engine)
-        for runtime in runtimes:
-            self.wrap_runtime(runtime)
-        clock = self.clock
-        queries = self.queries
-        tags = self.tags
-        begins = [runtime.on_begin for runtime in runtimes]
-        texts = [runtime.on_text for runtime in runtimes]
-        ends = [runtime.on_end for runtime in runtimes]
-        parse = 0.0
-        automaton = 0.0
-        count = 0
-        t0 = clock()
-        for event in events:
-            t1 = clock()
-            if on_event is not None:
-                on_event(event)
-            if routes_get is None:
-                targets = range(len(runtimes))
-            else:
-                targets = routes_get(event.tag, default)
-            if targets:
-                kind = event.kind
-                table = (begins if kind == "begin"
-                         else ends if kind == "end" else texts)
-                for i in targets:
-                    q0 = clock()
-                    table[i](event)
-                    self._bump(queries, labels[i], clock() - q0)
-            t2 = clock()
-            parse += t1 - t0
-            automaton += t2 - t1
-            count += 1
-            self._bump(tags, event.tag, t2 - t1)
-            t0 = t2
-        self.add_phase("parse", parse, count)
-        self.add_phase("automaton", automaton, count)
-        self.events += count
-        return count
+        return profiled
 
-    def sample_batch(self, engine: str, runtime, batch,
-                     tag_names: List[str]) -> None:
-        """Per-event attribution for one sampled fast-path batch.
+    def timed_kernel(self, engine: str, runtime, tag_names: List[str]):
+        """Time a kernel session's ``run_batch`` at batch boundaries.
 
-        Feeds the batch one tuple at a time through ``run_batch`` —
-        identical semantics, state carried across calls — timing each
-        event against the deterministic state (``matched``) and tag.
-        The queue proxy is installed for the sampled window only, so
-        buffer/output seconds are sampled at the same rate as states.
+        Four clock reads per ~2048-event batch keep parse + automaton
+        exact and noise-level cheap.  *Per-event* attribution — hot
+        state, hot tag, buffer/output split — runs only on every
+        ``sample_interval``-th batch, via single-tuple kernel calls
+        that are semantically identical to the batched form
+        (``matched``/``inst_stack`` carry across calls); the queue
+        proxy is installed for the sampled window only, so buffer and
+        output seconds are sampled at the same rate as states.
+        Unsampled batches run the unchanged kernel, which keeps
+        profiled fast runs within the 2x-throughput floor.
         """
-        self.sampling = True
+        self.attach(engine, runtime, proxy=False)
+        kernel = runtime.run_batch
         clock = self.clock
-        run_batch = runtime.run_batch
+        interval = self.sample_interval
+        parse = self._cell("parse")
+        automaton = self._cell("automaton")
         states = self.states
         tags = self.tags
-        inner = runtime.queue
-        if not isinstance(inner, _ProfiledQueue):
-            runtime.queue = _ProfiledQueue(inner, self)
-        try:
-            for event in batch:
-                m = runtime.matched
-                t0 = clock()
-                run_batch((event,))
-                dt = clock() - t0
-                self._bump(states, (engine, m), dt)
-                self._bump(tags, tag_names[event[1]], dt)
-            self.sampled_events += len(batch)
-        finally:
-            if not isinstance(inner, _ProfiledQueue):
-                runtime.queue = inner
+        bump = self._bump
+        last = clock()
+        index = 0
 
-    def timed_finish(self, runtime) -> None:
-        # Unwrap the queue proxy first: the end-of-stream drain belongs
-        # to ``finish``, not ``output`` (which sub-divides ``automaton``),
-        # and the engine's _capture_stats reads the real queue after.
-        queue = runtime.queue
-        if isinstance(queue, _ProfiledQueue):
-            runtime.queue = queue._inner
-        t0 = self.clock()
-        runtime.finish()
-        self.add_phase("finish", self.clock() - t0)
+        def profiled(batch):
+            nonlocal last, index
+            t1 = clock()
+            if index % interval == 0:
+                self.sampling = True
+                inner = runtime.queue
+                runtime.queue = _ProfiledQueue(inner, self)
+                try:
+                    for event in batch:
+                        m = runtime.matched
+                        t0 = clock()
+                        kernel((event,))
+                        dt = clock() - t0
+                        bump(states, (engine, m), dt)
+                        bump(tags, tag_names[event[1]], dt)
+                finally:
+                    runtime.queue = inner
+                self.sampled_events += len(batch)
+            else:
+                kernel(batch)
+            t2 = clock()
+            n = len(batch)
+            parse[0] += t1 - last
+            parse[1] += n
+            automaton[0] += t2 - t1
+            automaton[1] += n
+            self.events += n
+            index += 1
+            last = t2
+
+        runtime.run_batch = profiled
+
+    def timed_dispatch(self, engine: str, runtimes, labels: List[str]):
+        """Instrument a group session's members for per-query timing.
+
+        Returns ``(mark, tables)``: the session calls ``mark(event)`` as
+        each event arrives (closing its parse window), and ``tables``
+        are the members' begin/text/end handlers, each timed into its
+        query's row and the current event's tag.
+        """
+        for runtime in runtimes:
+            self.attach(engine, runtime)
+        clock = self.clock
+        parse = self._cell("parse")
+        automaton = self._cell("automaton")
+        tags = self.tags
+        queries = self.queries
+        last = clock()
+        tag_cell = [0.0, 0]
+
+        def mark(event):
+            nonlocal last, tag_cell
+            t = clock()
+            parse[0] += t - last
+            parse[1] += 1
+            automaton[1] += 1
+            self.events += 1
+            tag_cell = tags.setdefault(event.tag, [0.0, 0])
+            tag_cell[1] += 1
+            last = t
+
+        def timed(label, handler):
+            row = queries.setdefault(label, [0.0, 0])
+
+            def call(event):
+                nonlocal last
+                t0 = clock()
+                handler(event)
+                t1 = clock()
+                row[0] += t1 - t0
+                row[1] += 1
+                automaton[0] += t1 - last
+                tag_cell[0] += t1 - last
+                last = t1
+
+            return call
+
+        tables = tuple([timed(label, getattr(runtime, name))
+                        for runtime, label in zip(runtimes, labels)]
+                       for name in ("on_begin", "on_text", "on_end"))
+        return mark, tables
 
     # -- report ----------------------------------------------------------
 

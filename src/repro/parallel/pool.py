@@ -305,13 +305,13 @@ class TaskPool:
         for process in self._processes:
             process.start()
         try:
-            yield from self._drive(task_iter, task_queue, result_queue)
+            yield from self._collect(task_iter, task_queue, result_queue)
         finally:
             self._shutdown()
         self._record_summary(mode="pool")
 
-    def _drive(self, task_iter, task_queue, result_queue
-               ) -> Iterator[TaskOutcome]:
+    def _collect(self, task_iter, task_queue, result_queue
+                 ) -> Iterator[TaskOutcome]:
         obs = self.obs
         if obs is not None:
             depth_gauge = obs.metrics.gauge(
@@ -391,7 +391,7 @@ class TaskPool:
 
             if result_queue.empty():
                 self._check_liveness(done_workers, chunk_owner,
-                                     chunk_pending, labels)
+                                     chunk_pending, labels, result_queue)
                 time.sleep(self.poll_interval)
                 if result_queue.empty():
                     continue
@@ -442,12 +442,18 @@ class TaskPool:
                     worker_id=worker_id, traceback_text=trace)
 
     def _check_liveness(self, done_workers, chunk_owner, chunk_pending,
-                        labels) -> None:
+                        labels, result_queue) -> None:
         """A dead worker that never said goodbye is a crash, attributed
         to the first unfinished source of the chunk it held."""
         for worker_id, process in enumerate(self._processes):
             if worker_id in done_workers or process.is_alive():
                 continue
+            # The worker may have put its last messages and exited
+            # after the caller saw an empty queue.  SimpleQueue writes
+            # synchronously, so anything a dead worker sent is readable
+            # now: read it before calling the exit a crash.
+            if not result_queue.empty():
+                return
             source = None
             for chunk_id, owner in chunk_owner.items():
                 if owner != worker_id:

@@ -5,7 +5,8 @@ the interpreted engines' ``_as_events``, the fast path's
 ``_as_batches``, the bulk runner's ``normalize_source`` — and they
 drifted (none of them, for instance, accepted an iterable of raw
 chunks).  :func:`coerce_source` is the single classification point; the
-engines, the push façade and the bulk runner all route through it.
+document sessions (:mod:`repro.xsq.push`), the push façade and the bulk
+runner all route through it.
 
 Accepted source kinds:
 

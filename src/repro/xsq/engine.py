@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Union
 
-from repro.streaming.events import Event
 from repro.xpath.ast import AggregateOutput, Query
 from repro.xpath.parser import parse_query
 from repro.xsq.aggregates import StatBuffer
@@ -59,6 +58,19 @@ class RunStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
+    def of(cls, runtime, events: int) -> "RunStats":
+        """The stats of one finished runtime that saw ``events`` events."""
+        queue = runtime.queue
+        return cls(events=events,
+                   enqueued=queue.enqueued_total,
+                   cleared=queue.cleared_total,
+                   emitted=queue.emitted_total,
+                   peak_buffered_items=queue.peak_size,
+                   peak_instances=runtime.peak_instances,
+                   flushed=queue.flushed_total,
+                   uploaded=queue.uploaded_total)
+
+    @classmethod
     def merged(cls, runs: Iterable["RunStats"]) -> "RunStats":
         """Aggregate stats across engines sharing one pass.
 
@@ -66,19 +78,7 @@ class RunStats:
         (each member of a grouped run already reports the full stream
         length, so summing would double-count the shared pass).
         """
-        total = cls()
-        for run in runs:
-            total.events = max(total.events, run.events)
-            total.enqueued += run.enqueued
-            total.cleared += run.cleared
-            total.emitted += run.emitted
-            total.flushed += run.flushed
-            total.uploaded += run.uploaded
-            total.peak_buffered_items = max(total.peak_buffered_items,
-                                            run.peak_buffered_items)
-            total.peak_instances = max(total.peak_instances,
-                                       run.peak_instances)
-        return total
+        return cls._fold(runs, shared_pass=True)
 
     @classmethod
     def totals(cls, runs: Iterable[Union["RunStats", dict]]) -> "RunStats":
@@ -92,11 +92,18 @@ class RunStats:
         is order-independent, so a sharded corpus totals identically to
         a serial one.
         """
+        return cls._fold(runs, shared_pass=False)
+
+    @classmethod
+    def _fold(cls, runs, shared_pass: bool) -> "RunStats":
         total = cls()
         for run in runs:
             if isinstance(run, dict):
                 run = cls(**run)
-            total.events += run.events
+            if shared_pass:
+                total.events = max(total.events, run.events)
+            else:
+                total.events += run.events
             total.enqueued += run.enqueued
             total.cleared += run.cleared
             total.emitted += run.emitted
@@ -129,7 +136,71 @@ def _schema_note(schema, schema_dead) -> str:
             % schema.fingerprint)
 
 
-class XSQEngine:
+class _QueryEngine:
+    """``run`` / ``iter_results`` / ``push`` / ``stats`` for one query.
+
+    Every result mode is a document session (:mod:`repro.xsq.push`)
+    over one fresh runtime; subclasses say which session in
+    :meth:`_session`.
+    """
+
+    def run(self, source, sink: Optional[List[str]] = None) -> List[str]:
+        """Evaluate the query over ``source`` and return all results.
+
+        ``source`` may be a path, XML text, bytes, a file object, or an
+        iterable of events.  For aggregate queries the single final
+        value is returned (as a one-element list).  ``sink`` may supply
+        a custom result collector (anything with ``append``; the bench
+        harness passes a counting sink so memory measurements do not
+        charge the engine for the caller's result list).
+        """
+        session = self._session([] if sink is None else sink, drain=False)
+        return session.feed_source(source, query=self.query.text)
+
+    def iter_results(self, source) -> Iterator[str]:
+        """Yield results incrementally, as soon as they are determined.
+
+        Interpreted engines yield after every event, the compiled fast
+        path after every batch.  For aggregate queries this yields every
+        intermediate value (the paper's streaming ``stat.update``
+        semantics for unbounded streams), ending with the final value.
+        """
+        yield from self._session([], streaming_agg=True).iter_source(source)
+
+    def push(self, streaming_agg: bool = False):
+        """Open a push session for one incrementally-fed document.
+
+        The returned handle (:mod:`repro.xsq.push`) exposes
+        ``feed_events(events) -> results`` (and, on the fast path,
+        ``feed_batch``) plus ``finish() -> results``; the caller owns
+        the input loop (see :meth:`repro.api.CompiledQuery.feed` for
+        the chunk-level façade).  With ``streaming_agg=True`` aggregate
+        queries emit intermediate values per feed (the
+        :meth:`iter_results` shape) instead of only the final value at
+        ``finish()``.
+        """
+        return self._session([], streaming_agg=streaming_agg)
+
+    def _session(self, sink: list, streaming_agg: bool = False,
+                 drain: bool = True):
+        raise NotImplementedError
+
+    def _new_stat(self, streaming: bool) -> Optional[StatBuffer]:
+        output = self.query.output
+        if isinstance(output, AggregateOutput):
+            return StatBuffer(output.name, track_snapshots=streaming)
+        return None
+
+    @property
+    def stats(self) -> Optional[RunStats]:
+        """Stats from the most recent run (the facade's uniform name)."""
+        return self.last_stats
+
+    def __repr__(self):
+        return "<%s %r>" % (type(self).__name__, self.query.text)
+
+
+class XSQEngine(_QueryEngine):
     """The XSQ-F engine: one compiled query, many documents.
 
     ``obs`` accepts an :class:`repro.obs.Observability` bundle; when
@@ -145,6 +216,7 @@ class XSQEngine:
     supports_closures = True
     supports_aggregates = True
     streaming = True
+    runtime_line = "runtime: xsq-f (nondeterministic interpreted runtime)"
 
     def __init__(self, query: Union[str, Query], obs=None, *,
                  cache=None, schema=None):
@@ -169,11 +241,12 @@ class XSQEngine:
                         tokenize_query(query.strip())
                     with obs.span("parse"):
                         query = parse_query(query)
+                query = self._checked(query)
                 with obs.span("hpdt-compile"):
                     self.hpdt = compile_hpdt(query, cache=cache, obs=obs,
                                              schema_key=schema_key)
         else:
-            self.hpdt = compile_hpdt(query, cache=cache,
+            self.hpdt = compile_hpdt(self._checked(query), cache=cache,
                                      schema_key=schema_key)
         self.query = self.hpdt.query
         if analyze is not None:
@@ -188,197 +261,32 @@ class XSQEngine:
         # here from the compiled fast path; surfaced by explain().
         self.selection_note: Optional[str] = None
 
-    # -- running -----------------------------------------------------------
+    def _checked(self, query: Union[str, Query]) -> Union[str, Query]:
+        """Reject queries this engine cannot run (XSQ-F runs them all)."""
+        return query
 
-    def run(self, source, sink: Optional[List[str]] = None) -> List[str]:
-        """Evaluate the query over ``source`` and return all results.
-
-        ``source`` may be a path, XML text, bytes, a file object, or an
-        iterable of events.  For aggregate queries the single final
-        value is returned (as a one-element list).  ``sink`` may supply
-        a custom result collector (anything with ``append``; the bench
-        harness passes a counting sink so memory measurements do not
-        charge the engine for the caller's result list).
-        """
-        if sink is None:
-            sink = []
-        obs = self.obs
-        if obs is None:
-            events = self._as_events(source)
-            runtime, stat = self._new_runtime(sink)
-            count = 0
-            feed = runtime.feed
-            for event in events:
-                count += 1
-                feed(event)
-            runtime.finish()
-            self._capture_stats(runtime, count, stat)
-            if stat is not None:
-                return [stat.render()]
-            return sink
-        with obs.span("run", engine=self.name, query=self.query.text):
-            with obs.span("stream", engine=self.name) as stream_span:
-                events = self._as_events(source)
-                runtime, stat = self._new_runtime(sink)
-                profiler = obs.profiler
-                if profiler is not None:
-                    count = profiler.pump_events(
-                        self.name, events, runtime,
-                        on_event=obs.event_hook())
-                    profiler.timed_finish(runtime)
-                else:
-                    count = self._pump_observed(events, runtime, obs)
-                    runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        obs.record_run(self.name, self.last_stats,
-                       seconds=stream_span.duration)
-        if stat is not None:
-            return [stat.render()]
-        return sink
-
-    def _pump_observed(self, events: Iterable[Event], runtime, obs) -> int:
-        """The instrumented event loop: per-event trace context, buffer
-        occupancy samples, and (optionally) dispatch-latency timing."""
-        count = 0
-        feed = runtime.feed
-        queue = runtime.queue
-        on_event = obs.event_hook()
-        occupancy = obs.metrics.histogram(
-            "repro_buffer_occupancy_items",
-            "output-queue occupancy sampled after each event",
-            engine=self.name)
-        if obs.per_event_timing:
-            import time
-            from repro.obs.metrics import LATENCY_BUCKETS
-            dispatch = obs.metrics.histogram(
-                "repro_event_dispatch_seconds",
-                "per-event dispatch latency",
-                buckets=LATENCY_BUCKETS, engine=self.name)
-            clock = time.perf_counter
-            for event in events:
-                count += 1
-                if on_event is not None:
-                    on_event(event)
-                t0 = clock()
-                feed(event)
-                dispatch.observe(clock() - t0)
-                occupancy.observe(len(queue))
-        else:
-            for event in events:
-                count += 1
-                if on_event is not None:
-                    on_event(event)
-                feed(event)
-                occupancy.observe(len(queue))
-        return count
-
-    def iter_results(self, source) -> Iterator[str]:
-        """Yield results incrementally, as soon as they are determined.
-
-        For aggregate queries this yields every intermediate value (the
-        paper's streaming ``stat.update`` semantics for unbounded
-        streams), ending with the final value.
-        """
-        events = self._as_events(source)
-        sink: List[str] = []
-        runtime, stat = self._new_runtime(sink, streaming_agg=True)
-        obs = self.obs
-        on_event = obs.event_hook() if obs is not None else None
-        count = 0
-        for event in events:
-            count += 1
-            if on_event is not None:
-                on_event(event)
-            runtime.feed(event)
-            if stat is not None:
-                for value in stat.drain_snapshots():
-                    yield value
-            elif sink:
-                # Drain (don't retain) so unbounded streams run in
-                # bounded memory.
-                for value in sink:
-                    yield value
-                sink.clear()
-        runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        if obs is not None:
-            obs.record_run(self.name, self.last_stats)
-        if stat is not None:
-            yield stat.render()
-        else:
-            for value in sink:
-                yield value
-            sink.clear()
-
-    def push(self, streaming_agg: bool = False):
-        """Open a push handle for one incrementally-fed document.
-
-        The returned :class:`~repro.xsq.push.EventPushHandle` exposes
-        ``feed_events(events) -> results`` and ``finish() -> results``;
-        the caller owns the input loop (see
-        :meth:`repro.api.CompiledQuery.feed` for the chunk-level
-        façade).  With ``streaming_agg=True`` aggregate queries emit
-        intermediate values per feed (the :meth:`iter_results` shape)
-        instead of only the final value at ``finish()``.
-        """
+    def _session(self, sink: list, streaming_agg: bool = False,
+                 drain: bool = True):
         from repro.xsq.push import EventPushHandle
-        sink: List[str] = []
-        runtime, stat = self._new_runtime(sink, streaming_agg=streaming_agg)
-        obs = self.obs
-        on_event = obs.event_hook() if obs is not None else None
-        return EventPushHandle(self, runtime, sink, stat=stat,
-                               streaming_agg=streaming_agg,
-                               on_event=on_event)
-
-    # -- internals -----------------------------------------------------------
-
-    def _as_events(self, source) -> Iterable[Event]:
-        from repro.streaming.source import coerce_source
-        return coerce_source(source).events()
-
-    def _new_runtime(self, sink: List[str], streaming_agg: bool = False):
-        stat = None
-        if isinstance(self.query.output, AggregateOutput):
-            stat = StatBuffer(self.query.output.name,
-                              track_snapshots=streaming_agg)
+        stat = self._new_stat(streaming_agg)
         account = None
         if self.obs is not None and self.obs.accounting is not None:
             account = self.obs.accounting.account(self.query.text,
                                                   engine=self.name)
-        runtime = MatcherRuntime(self.hpdt, sink, trace=self.trace,
-                                 stat=stat, account=account,
-                                 schema_dead=self._schema_dead)
-        return runtime, stat
+        return EventPushHandle(self, self._new_runtime(sink, stat, account),
+                               sink, stat, streaming_agg, drain)
 
-    def _capture_stats(self, runtime: MatcherRuntime, events: int,
-                       stat: Optional[StatBuffer]) -> None:
-        queue = runtime.queue
-        self.last_stats = RunStats(
-            events=events,
-            enqueued=queue.enqueued_total,
-            cleared=queue.cleared_total,
-            emitted=queue.emitted_total,
-            peak_buffered_items=queue.peak_size,
-            peak_instances=runtime.peak_instances,
-            flushed=queue.flushed_total,
-            uploaded=queue.uploaded_total,
-        )
-        self.last_stat_buffer = stat
+    def _new_runtime(self, sink: List[str], stat: Optional[StatBuffer],
+                     account):
+        return MatcherRuntime(self.hpdt, sink, trace=self.trace,
+                              stat=stat, account=account,
+                              schema_dead=self._schema_dead)
 
     def explain(self) -> str:
         """Describe the compiled HPDT (the CLI's --explain output)."""
-        lines = [self.hpdt.describe(), "",
-                 "runtime: xsq-f (nondeterministic interpreted runtime)"]
+        lines = [self.hpdt.describe(), "", self.runtime_line]
         if self.schema is not None:
             lines.append(_schema_note(self.schema, self._schema_dead))
         if self.selection_note:
             lines.append(self.selection_note)
         return "\n".join(lines)
-
-    @property
-    def stats(self) -> Optional[RunStats]:
-        """Stats from the most recent run (the facade's uniform name)."""
-        return self.last_stats
-
-    def __repr__(self):
-        return "<XSQEngine %r>" % (self.query.text,)

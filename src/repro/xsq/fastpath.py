@@ -55,7 +55,7 @@ interpreted runtime with the reason surfaced in ``.explain()``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FastPathUnsupportedError
 from repro.xpath.ast import (
@@ -78,7 +78,7 @@ from repro.xpath.parser import parse_query
 from repro.xsq.aggregates import StatBuffer
 from repro.xsq.buffers import BufferItem, OutputQueue
 from repro.xsq.compile_cache import compile_hpdt
-from repro.xsq.engine import RunStats
+from repro.xsq.engine import RunStats, _QueryEngine
 from repro.xsq.hpdt import Hpdt
 from repro.xsq.matcher import PredicateInstance
 
@@ -513,8 +513,8 @@ class FastRuntime:
         if kernel is None:
             from repro.xsq.codegen import compile_kernel
             kernel = compile_kernel(plan)
-        # Bound on the instance so every driver — pull loop, push
-        # handle, profiler sampling — runs the same kernel.
+        # Bound on the instance so every document session (and the
+        # profiler, which wraps it in place) runs the same kernel.
         self.run_batch = kernel[0].__get__(self, FastRuntime)
 
     def finish(self) -> None:
@@ -529,7 +529,7 @@ class FastRuntime:
         return emit
 
 
-class XSQEngineFast:
+class XSQEngineFast(_QueryEngine):
     """The compiled fast path behind ``repro.compile(..., engine="auto")``.
 
     Same surface as the interpreted engines (``run`` / ``iter_results``
@@ -601,159 +601,17 @@ class XSQEngineFast:
         self.last_stat_buffer: Optional[StatBuffer] = None
         self.selection_note: Optional[str] = None
 
-    # -- running -----------------------------------------------------------
-
-    def run(self, source, sink: Optional[list] = None) -> list:
-        """Evaluate the query over ``source``; see :meth:`XSQEngine.run`."""
-        if sink is None:
-            sink = []
-        obs = self.obs
-        if obs is None:
-            count, runtime, stat = self._drive(source, sink)
-        else:
-            with obs.span("run", engine=self.name, query=self.query.text):
-                with obs.span("stream", engine=self.name) as stream_span:
-                    if obs.profiler is not None:
-                        count, runtime, stat = self._drive_profiled(
-                            source, sink, obs.profiler)
-                    else:
-                        count, runtime, stat = self._drive(source, sink)
-            obs.record_run(self.name, self.last_stats,
-                           seconds=stream_span.duration)
-        if stat is not None:
-            return [stat.render()]
-        return sink
-
-    def _drive(self, source, sink):
-        stat = self._new_stat(False)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
-        count = 0
-        run_batch = runtime.run_batch
-        for batch in self._as_batches(source):
-            count += len(batch)
-            run_batch(batch)
-        runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        return count, runtime, stat
-
-    def _drive_profiled(self, source, sink, prof):
-        """The sampling profiler's drive loop.
-
-        Every batch is timed at the batch boundary (four clock reads
-        per ~2048-event batch: parse + automaton phases stay exact and
-        noise-level cheap), while *per-event* attribution — hot state,
-        hot tag, buffer/output split — runs only on every
-        ``prof.sample_interval``-th batch, via single-tuple
-        ``run_batch`` calls that are semantically identical to the
-        batched form (``matched``/``inst_stack`` carry across calls).
-        Unsampled batches execute the unchanged hot loop, which is what
-        keeps profiled fast runs within the 2x-throughput floor.
-        """
-        stat = self._new_stat(False)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
-        prof.note_engine(self.name)
-        clock = prof.clock
-        interval = prof.sample_interval
-        names = self.plan.tags.names
-        run_batch = runtime.run_batch
-        count = 0
-        index = 0
-        parse = 0.0
-        automaton = 0.0
-        t0 = clock()
-        for batch in self._as_batches(source):
-            t1 = clock()
-            count += len(batch)
-            if index % interval == 0:
-                prof.sample_batch(self.name, runtime, batch, names)
-            else:
-                run_batch(batch)
-            t2 = clock()
-            parse += t1 - t0
-            automaton += t2 - t1
-            index += 1
-            t0 = t2
-        prof.add_phase("parse", parse, count)
-        prof.add_phase("automaton", automaton, count)
-        prof.events += count
-        prof.timed_finish(runtime)
-        self._capture_stats(runtime, count, stat)
-        return count, runtime, stat
-
-    def iter_results(self, source) -> Iterator[str]:
-        """Yield results incrementally, with batch granularity.
-
-        The fast path drains the sink between *batches* rather than
-        between events — the same values in the same order, surfacing
-        at worst one batch later than the interpreted engines.
-        """
-        sink: list = []
-        stat = self._new_stat(True)
-        runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
-        count = 0
-        for batch in self._as_batches(source):
-            count += len(batch)
-            runtime.run_batch(batch)
-            if stat is not None:
-                for value in stat.drain_snapshots():
-                    yield value
-            elif sink:
-                for value in sink:
-                    yield value
-                sink.clear()
-        runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        if self.obs is not None:
-            self.obs.record_run(self.name, self.last_stats)
-        if stat is not None:
-            yield stat.render()
-        else:
-            for value in sink:
-                yield value
-            sink.clear()
-
-    def push(self, streaming_agg: bool = False):
-        """Open a push handle for one incrementally-fed document.
-
-        The returned :class:`~repro.xsq.push.FastPushHandle` consumes
-        batched tuples (``feed_batch``) produced by a
-        :class:`~repro.streaming.push.PushBatchParser` sharing this
-        plan's :class:`TagTable`, or plain events (``feed_events``);
-        semantics match :meth:`XSQEngine.push`.
-        """
+    def _session(self, sink: list, streaming_agg: bool = False,
+                 drain: bool = True):
+        """A :class:`~repro.xsq.push.FastPushHandle` over a fresh
+        runtime: it consumes batched tuples (``feed_batch``) produced
+        by a :class:`~repro.streaming.push.PushBatchParser` sharing this
+        plan's :class:`TagTable`, or plain events (``feed_events``)."""
         from repro.xsq.push import FastPushHandle
-        sink: list = []
         stat = self._new_stat(streaming_agg)
         runtime = FastRuntime(self.plan, self.hpdt, sink, stat=stat)
-        return FastPushHandle(self, runtime, sink, stat=stat,
-                              streaming_agg=streaming_agg)
-
-    # -- internals ---------------------------------------------------------
-
-    def _as_batches(self, source):
-        from repro.streaming.source import coerce_source
-        return coerce_source(source).batches(self.plan.tags)
-
-    def _new_stat(self, streaming: bool) -> Optional[StatBuffer]:
-        if isinstance(self.query.output, AggregateOutput):
-            return StatBuffer(self.query.output.name,
-                              track_snapshots=streaming)
-        return None
-
-    def _capture_stats(self, runtime: FastRuntime, events: int,
-                       stat: Optional[StatBuffer]) -> None:
-        queue = runtime.queue
-        self.last_stats = RunStats(
-            events=events,
-            enqueued=queue.enqueued_total,
-            cleared=queue.cleared_total,
-            emitted=queue.emitted_total,
-            peak_buffered_items=queue.peak_size,
-            peak_instances=runtime.peak_instances,
-            flushed=queue.flushed_total,
-            uploaded=queue.uploaded_total,
-        )
-        self.last_stat_buffer = stat
+        return FastPushHandle(self, runtime, sink, stat, streaming_agg,
+                              drain)
 
     def explain(self) -> str:
         lines = [self.hpdt.describe(), "",
@@ -766,11 +624,3 @@ class XSQEngineFast:
         if self.selection_note:
             lines.append(self.selection_note)
         return "\n".join(lines)
-
-    @property
-    def stats(self) -> Optional[RunStats]:
-        """Stats from the most recent run (the facade's uniform name)."""
-        return self.last_stats
-
-    def __repr__(self):
-        return "<XSQEngineFast %r>" % (self.query.text,)

@@ -34,7 +34,7 @@ category-6 path predicates (extension) one :class:`PathTracker` per
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.streaming.events import Event
 from repro.streaming.serialize import EventSerializer
@@ -378,25 +378,19 @@ class MatcherRuntime:
         # Peak simultaneously-open instances: the runtime memory metric.
         self._live_instances = 0
         self.peak_instances = 0
-        # Execution profiler (repro.obs.profile); set by the profiled
-        # pump, read inside the watch-scan branches only — un-profiled
-        # runs pay one None-test per *watched* event, never per event.
+        # Execution profiler (repro.obs.profile); set by
+        # Profiler.attach, read inside the watch-scan branches only —
+        # un-profiled runs pay one None-test per *watched* event, never
+        # per event.
         self.prof = None
         if self.account is None:
             # The accountant tail in _on_end is the runtime's only
             # per-event obs branch; pay the None-check once per run by
-            # binding the plain handler (feed() and the shared-dispatch
-            # driver both go through self.on_end).
+            # binding the plain handler (feed() and the group session's
+            # per-kind tables both go through self.on_end).
             self.on_end = self._on_end_plain
 
     # -- public driving --------------------------------------------------
-
-    def run(self, events: Iterable[Event]) -> List[str]:
-        feed = self.feed
-        for event in events:
-            feed(event)
-        self.finish()
-        return self.sink
 
     def feed(self, event: Event) -> None:
         kind = event.kind

@@ -25,7 +25,7 @@ they live on the shared ancestor path).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.errors import ClosureNotSupportedError
 from repro.streaming.events import Event
@@ -41,8 +41,7 @@ from repro.xpath.parser import parse_query
 from repro.xsq.aggregates import StatBuffer
 from repro.xsq.bpdt import Bpdt
 from repro.xsq.buffers import BufferItem, BufferTrace, OutputQueue
-from repro.xsq.compile_cache import compile_hpdt
-from repro.xsq.engine import RunStats, XSQEngine, _schema_note
+from repro.xsq.engine import XSQEngine
 from repro.xpath.ast import NotPredicate, OrPredicate, PathPredicate
 from repro.xsq.matcher import Chain, PathTracker, PredicateInstance
 
@@ -346,208 +345,28 @@ class _NCRuntime:
         return item
 
 
-class XSQEngineNC:
+class XSQEngineNC(XSQEngine):
     """XSQ-NC: deterministic streaming XPath, no closure axis.
 
     Raises :class:`ClosureNotSupportedError` at construction when the
     query contains ``//``; callers fall back to :class:`XSQEngine`.
+    Construction, sessions, stats and ``explain`` are XSQ-F's; only the
+    runtime differs.
     """
 
     name = "xsq-nc"
-    supports_predicates = True
     supports_closures = False
-    supports_aggregates = True
-    streaming = True
+    runtime_line = "runtime: xsq-nc (deterministic interpreted runtime)"
 
-    def __init__(self, query: Union[str, Query], obs=None, *,
-                 cache=None, schema=None):
-        self.obs = obs
-        self.schema = None
-        self._schema_dead = None
-        schema_key = None
-        analyze = None
-        if schema is not None:
-            # Lazy: the schema-less path never imports the schema
-            # compiler.
-            from repro.xsq.schema_compile import (analyze_runtime,
-                                                  coerce_schema)
-            self.schema = coerce_schema(schema)
-            schema_key = self.schema.fingerprint
-            analyze = analyze_runtime
-        if obs is not None:
-            with obs.span("compile", engine=self.name):
-                if isinstance(query, str):
-                    from repro.xpath.tokens import tokenize_query
-                    with obs.span("tokenize"):
-                        tokenize_query(query.strip())
-                    with obs.span("parse"):
-                        query = parse_query(query)
-                self._reject_closure(query)
-                with obs.span("hpdt-compile"):
-                    self.hpdt = compile_hpdt(query, cache=cache, obs=obs,
-                                             schema_key=schema_key)
-        else:
-            if isinstance(query, str):
-                query = parse_query(query)
-            self._reject_closure(query)
-            self.hpdt = compile_hpdt(query, cache=cache,
-                                     schema_key=schema_key)
-        self.query = self.hpdt.query
-        if analyze is not None:
-            self._schema_dead = analyze(self.schema, self.query)
-        if obs is not None and obs.events is not None:
-            self.trace: Optional[BufferTrace] = obs.events
-        else:
-            self.trace = None
-        self.last_stats: Optional[RunStats] = None
-        self.last_stat_buffer: Optional[StatBuffer] = None
-        # Set by repro.api.select_engine when engine="auto" fell back
-        # here from the compiled fast path; surfaced by explain().
-        self.selection_note: Optional[str] = None
-
-    @staticmethod
-    def _reject_closure(query: Query) -> None:
+    def _checked(self, query: Union[str, Query]) -> Query:
+        if isinstance(query, str):
+            query = parse_query(query)
         if query.has_closure:
             raise ClosureNotSupportedError(
                 "XSQ-NC does not support the closure axis //; "
                 "use XSQEngine (XSQ-F) for %r" % (query.text,))
+        return query
 
-    def run(self, source, sink: Optional[List[str]] = None) -> List[str]:
-        """Evaluate the query over ``source``; see :meth:`XSQEngine.run`."""
-        if sink is None:
-            sink = []
-        obs = self.obs
-        if obs is None:
-            events = self._as_events(source)
-            stat = self._new_stat(False)
-            runtime = self._new_runtime(sink, stat)
-            count = 0
-            feed = runtime.feed
-            for event in events:
-                count += 1
-                feed(event)
-            runtime.finish()
-            self._capture_stats(runtime, count, stat)
-            if stat is not None:
-                return [stat.render()]
-            return sink
-        with obs.span("run", engine=self.name, query=self.query.text):
-            with obs.span("stream", engine=self.name) as stream_span:
-                events = self._as_events(source)
-                stat = self._new_stat(False)
-                runtime = self._new_runtime(sink, stat)
-                profiler = obs.profiler
-                if profiler is not None:
-                    count = profiler.pump_events(
-                        self.name, events, runtime,
-                        on_event=obs.event_hook())
-                    profiler.timed_finish(runtime)
-                else:
-                    count = self._pump_observed(events, runtime, obs)
-                    runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        obs.record_run(self.name, self.last_stats,
-                       seconds=stream_span.duration)
-        if stat is not None:
-            return [stat.render()]
-        return sink
-
-    # The instrumented event loop is identical for both engines.
-    _pump_observed = XSQEngine._pump_observed
-
-    def iter_results(self, source) -> Iterator[str]:
-        """Yield results incrementally (intermediate values for aggregates)."""
-        events = self._as_events(source)
-        sink: List[str] = []
-        stat = self._new_stat(True)
-        runtime = self._new_runtime(sink, stat)
-        obs = self.obs
-        on_event = obs.event_hook() if obs is not None else None
-        count = 0
-        for event in events:
-            count += 1
-            if on_event is not None:
-                on_event(event)
-            runtime.feed(event)
-            if stat is not None:
-                for value in stat.drain_snapshots():
-                    yield value
-            elif sink:
-                # Drain (don't retain): bounded memory on long streams.
-                for value in sink:
-                    yield value
-                sink.clear()
-        runtime.finish()
-        self._capture_stats(runtime, count, stat)
-        if obs is not None:
-            obs.record_run(self.name, self.last_stats)
-        if stat is not None:
-            yield stat.render()
-        else:
-            for value in sink:
-                yield value
-            sink.clear()
-
-    def _as_events(self, source) -> Iterable[Event]:
-        from repro.streaming.source import coerce_source
-        return coerce_source(source).events()
-
-    def push(self, streaming_agg: bool = False):
-        """Open a push handle for one incrementally-fed document; see
-        :meth:`XSQEngine.push` — the handle type and semantics are
-        identical, over the deterministic runtime."""
-        from repro.xsq.push import EventPushHandle
-        sink: List[str] = []
-        stat = self._new_stat(streaming_agg)
-        runtime = self._new_runtime(sink, stat)
-        obs = self.obs
-        on_event = obs.event_hook() if obs is not None else None
-        return EventPushHandle(self, runtime, sink, stat=stat,
-                               streaming_agg=streaming_agg,
-                               on_event=on_event)
-
-    def _new_stat(self, streaming: bool) -> Optional[StatBuffer]:
-        if isinstance(self.query.output, AggregateOutput):
-            return StatBuffer(self.query.output.name,
-                              track_snapshots=streaming)
-        return None
-
-    def _new_runtime(self, sink: List[str],
-                     stat: Optional[StatBuffer]) -> _NCRuntime:
-        account = None
-        if self.obs is not None and self.obs.accounting is not None:
-            account = self.obs.accounting.account(self.query.text,
-                                                  engine=self.name)
+    def _new_runtime(self, sink: List[str], stat: Optional[StatBuffer],
+                     account) -> _NCRuntime:
         return _NCRuntime(self, sink, stat, self.trace, account=account)
-
-    def _capture_stats(self, runtime: _NCRuntime, events: int,
-                       stat: Optional[StatBuffer]) -> None:
-        queue = runtime.queue
-        self.last_stats = RunStats(
-            events=events,
-            enqueued=queue.enqueued_total,
-            cleared=queue.cleared_total,
-            emitted=queue.emitted_total,
-            peak_buffered_items=queue.peak_size,
-            peak_instances=runtime.peak_instances,
-            flushed=queue.flushed_total,
-            uploaded=queue.uploaded_total,
-        )
-        self.last_stat_buffer = stat
-
-    def explain(self) -> str:
-        lines = [self.hpdt.describe(), "",
-                 "runtime: xsq-nc (deterministic interpreted runtime)"]
-        if self.schema is not None:
-            lines.append(_schema_note(self.schema, self._schema_dead))
-        if self.selection_note:
-            lines.append(self.selection_note)
-        return "\n".join(lines)
-
-    @property
-    def stats(self) -> Optional[RunStats]:
-        """Stats from the most recent run (the facade's uniform name)."""
-        return self.last_stats
-
-    def __repr__(self):
-        return "<XSQEngineNC %r>" % (self.query.text,)

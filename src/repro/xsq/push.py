@@ -1,75 +1,133 @@
-"""Engine-side push handles: one incrementally-fed document per handle.
+"""Document sessions: the one place a document is driven through a runtime.
 
-The pull entry points (``run`` / ``iter_results``) own their event
-loop.  A *push handle* inverts that: the engine exposes the per-document
-runtime it would have driven itself, and the caller feeds events (or
-batched tuples) whenever they arrive, collecting whatever results each
-feed completed.  The handles here are the engine-internal layer —
-:class:`repro.api.PushSession` wraps them together with a resumable
-parser (:mod:`repro.streaming.push`) to accept raw byte chunks.
+The paper's HPDT consumes one SAX event at a time and never knows who
+produced it (Sec 2.1, 3), so "pull" is just push with the caller's loop
+inside the library.  A *session* (the ``*PushHandle`` classes below)
+owns one document's runtime(s); every result mode is that session fed
+by a different caller:
 
-Result semantics match the pull mode exactly (the chunk-split
-differential suite proves it byte-for-byte):
+* ``run()`` feeds the whole source and finishes
+  (:meth:`~_Session.feed_source`); results stream into the caller's
+  sink, uncopied, and ``finish()`` returns the run's result;
+* ``iter_results()`` feeds one event (interpreted runtimes) or one
+  batch (kernels) at a time and yields what each feed determined
+  (:meth:`~_Session.iter_source`);
+* ``push()`` hands the session to the caller, who feeds events or
+  batched tuples as they arrive; :class:`repro.api.PushSession` adds a
+  resumable parser (:mod:`repro.streaming.push`) to accept raw chunks.
 
-* plain queries: every feed returns the results it newly determined, in
-  document order; concatenating all feeds plus ``finish()`` equals
-  ``run()``.
-* aggregate queries: by default the single final value surfaces at
-  ``finish()`` (the ``run()`` shape); with ``streaming_agg=True`` each
-  feed returns the intermediate values the paper's ``stat.update``
-  emits for unbounded streams (the ``iter_results`` shape).
+There is one session per runtime kind: :class:`EventPushHandle`
+(interpreted single query, fed events), :class:`FastPushHandle`
+(generated kernel, fed batches), :class:`MultiPushHandle` (a query
+group) and :class:`NullPushHandle` (the empty query).  Concatenating
+every feed's results plus ``finish()`` equals ``run()``, for any split
+(the chunk-split differential suite proves it byte-for-byte).
+Aggregates surface their final value at ``finish()``; with
+``streaming_agg=True`` each feed also returns the intermediate values
+the paper's ``stat.update`` emits for unbounded streams.
 
-``finish()`` flushes the runtime's buffer discipline, captures
-``RunStats`` onto the owning engine (so ``engine.stats`` /
-``CompiledQuery.stats`` work identically to pull mode) and closes the
-handle.  Handles are single-document: create a new one per document.
+Instrumentation is chosen once, when a session opens.  Without an
+``obs`` bundle the loop calls the runtime's own bound methods; with one,
+the event hook, occupancy histogram, per-event timer, fanout histogram
+and the profiler's wrappers are composed around those methods, so every
+mode records the same metrics.  ``finish()`` flushes the buffers, stores
+``RunStats`` on the engine, records the run and closes the session;
+feeding a closed session raises :class:`StreamError`, and ``finish()``
+is idempotent.
 
-The fast-path handle drives its runtime's generated kernel
-(:mod:`repro.xsq.codegen`), the same one pull loops run -- the
-chunk-split suite covers both.
-
-Every handle carries a ``latency`` slot (default ``None``) for an
+Every session carries a ``latency`` slot (default ``None``) for an
 optional :class:`repro.obs.latency.LatencyRecorder`: when attached (the
 serve pipeline does this per stream), each feed call stamps entry and
 emission timestamps onto per-result provenance records.  Detached, the
-cost is one attribute load and a ``None`` test per feed call — the same
-discipline as ``obs is None``.
+cost is one attribute load and a ``None`` test per feed call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import itertools
+import time
+from typing import List, Tuple
 
-from repro.errors import StreamError
+from repro.errors import StreamError, UnsupportedFeatureError
 from repro.streaming.events import BEGIN, END, TEXT
+from repro.streaming.source import coerce_source
+from repro.xpath.ast import AggregateOutput
+from repro.xsq.aggregates import StatBuffer
+from repro.xsq.buffers import OutputQueue
 from repro.xsq.engine import RunStats
+from repro.xsq.fastpath import FastRuntime
+from repro.xsq.matcher import MatcherRuntime
 
-#: Feed representations a handle accepts (repro.api.PushSession reads
+#: Feed representations a session accepts (repro.api.PushSession reads
 #: this to pick the matching resumable parser).
 FEED_EVENTS = "events"
 FEED_BATCH = "batch"
 FEED_NONE = "none"
 
+_CLOSED = "push handle already finished"
 
-class EventPushHandle:
-    """Push handle over an interpreted runtime (XSQ-F or XSQ-NC).
 
-    ``runtime`` is any object with ``feed(event)`` / ``finish()`` and a
-    ``queue`` (:class:`~repro.xsq.buffers.OutputQueue`) draining into
-    ``sink`` — both interpreted runtimes qualify unchanged.
-    """
+def _observed_feed(obs, name: str, feed, queue):
+    """``feed`` wrapped in the bundle's per-event instruments: the event
+    hook, an occupancy sample after each event and, with
+    ``per_event_timing``, a dispatch-latency histogram."""
+    on_event = obs.event_hook()
+    occupancy = obs.metrics.histogram(
+        "repro_buffer_occupancy_items",
+        "output-queue occupancy sampled after each event",
+        engine=name).observe
+    if obs.per_event_timing:
+        from repro.obs.metrics import LATENCY_BUCKETS
+        dispatch = obs.metrics.histogram(
+            "repro_event_dispatch_seconds", "per-event dispatch latency",
+            buckets=LATENCY_BUCKETS, engine=name).observe
+        clock = time.perf_counter
+        untimed = feed
 
-    feed_mode = FEED_EVENTS
+        def feed(event):
+            t0 = clock()
+            untimed(event)
+            dispatch(clock() - t0)
 
-    def __init__(self, engine, runtime, sink: list, stat=None,
-                 streaming_agg: bool = False,
-                 on_event: Optional[Callable] = None):
+    def observed(event):
+        if on_event is not None:
+            on_event(event)
+        feed(event)
+        occupancy(len(queue))
+
+    return observed
+
+
+def _group_observer(obs, engine, mark):
+    """Per-event instruments for the group loop: the profiler's arrival
+    ``mark`` (or None), the event hook and, under shared dispatch, the
+    fanout histogram."""
+    hooks = [hook for hook in (mark, obs.event_hook()) if hook is not None]
+    fanout = None
+    if engine.index is not None:
+        from repro.obs.metrics import FANOUT_BUCKETS
+        fanout = obs.metrics.histogram(
+            "repro_dispatch_fanout_queries",
+            "runtimes touched per stream event under shared dispatch",
+            buckets=FANOUT_BUCKETS, engine=engine.name).observe
+
+    def observe(event, targets):
+        for hook in hooks:
+            hook(event)
+        if fanout is not None:
+            fanout(len(targets))
+
+    return observe
+
+
+class _Session:
+    """What every session shares: the engine, the event count, the
+    ``latency`` slot and the closed-handle contract."""
+
+    feed_mode = FEED_NONE
+
+    def __init__(self, engine):
         self._engine = engine
-        self._runtime = runtime
-        self._sink = sink
-        self._stat = stat
-        self._streaming_agg = streaming_agg
-        self._on_event = on_event
         self._count = 0
         self.latency = None
         self.closed = False
@@ -78,32 +136,97 @@ class EventPushHandle:
     def events_fed(self) -> int:
         return self._count
 
-    def feed_events(self, events) -> list:
-        """Feed a batch of events; return the results they determined."""
+    def feed_source(self, source, **span_attrs):
+        """``run()`` for every engine: feed all of ``source``, finish.
+
+        With an ``obs`` bundle the pass sits inside ``run``/``stream``
+        spans and the events-per-second gauge is set from the stream
+        span.  Spans stay around ``run()`` only: a push session's span
+        would stay open across the caller's ``feed`` calls, and
+        interleaved sessions would then close spans out of the
+        tracer's nesting order.
+        """
+        engine = self._engine
+        obs = engine.obs
+        if obs is None:
+            return self._feed_all(source)
+        with obs.span("run", engine=engine.name, **span_attrs):
+            with obs.span("stream", engine=engine.name) as stream:
+                result = self._feed_all(source)
+        obs.record_rate(engine.name, self._count, stream.duration)
+        return result
+
+    def iter_source(self, source):
+        """``iter_results()`` for every engine: yield as results
+        determine.  Interpreted sessions are fed one event at a time,
+        kernel sessions one batch at a time, so unblocked results
+        surface mid-document."""
+        feed, units = self._units(source, per_event=True)
+        for unit in units:
+            yield from feed(unit)
+        yield from self.finish()
+
+    def _feed_all(self, source):
+        feed, units = self._units(source, per_event=False)
+        for unit in units:
+            feed(unit)
+        return self.finish()
+
+    def _units(self, source, per_event: bool):
+        """``(feed, units)``: ``source`` cut into what this session
+        consumes.  Kernel sessions take the parser's tuple batches;
+        event sessions take the whole event stream as one unit, or one
+        event per unit.  The empty query's session never touches the
+        source."""
+        mode = self.feed_mode
+        if mode == FEED_NONE:
+            return None, ()
+        coerced = coerce_source(source)
+        if mode == FEED_BATCH:
+            return self.feed_batch, coerced.batches(self.tags)
+        events = coerced.events()
+        if per_event:
+            return self.feed_events, ((event,) for event in events)
+        return self.feed_events, (events,)
+
+    def finish(self) -> list:
+        """End the document: flush buffers, store stats, return the tail."""
         if self.closed:
-            raise StreamError("push handle already finished")
+            return []
+        self.closed = True
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
-        count = self._count
-        feed = self._runtime.feed
-        on_event = self._on_event
-        if on_event is None:
-            for event in events:
-                count += 1
-                feed(event)
-        else:
-            for event in events:
-                count += 1
-                on_event(event)
-                feed(event)
-        self._count = count
-        out = self._drain()
+        out = self._finish()
         if latency is not None:
             latency.emitted(len(out))
         return out
 
+    def _finish(self) -> list:
+        return []
+
+
+class _QuerySession(_Session):
+    """One query's runtime; ``drain=False`` is ``run()``'s session.
+
+    A draining session returns each feed's newly determined results.  A
+    non-draining one leaves them in the caller's ``sink`` (no per-result
+    copy) and its ``finish()`` returns ``run()``'s result: the sink, or
+    the aggregate's single final value.
+    """
+
+    def __init__(self, engine, runtime, sink: list, stat=None,
+                 streaming_agg: bool = False, drain: bool = True):
+        super().__init__(engine)
+        self._runtime = runtime
+        self._sink = sink
+        self._stat = stat
+        self._streaming_agg = streaming_agg
+        self._drains = drain
+
     def _drain(self) -> list:
+        if not self._drains:
+            return []
         if self._stat is not None:
             if self._streaming_agg:
                 return list(self._stat.drain_snapshots())
@@ -115,29 +238,65 @@ class EventPushHandle:
         del sink[:]
         return out
 
-    def finish(self) -> list:
-        """End the document: flush buffers, capture stats, return tail."""
+    def _finish(self) -> list:
+        runtime = self._runtime
+        runtime.finish()
+        engine = self._engine
+        engine.last_stats = RunStats.of(runtime, self._count)
+        engine.last_stat_buffer = self._stat
+        if engine.obs is not None:
+            engine.obs.record_run(engine.name, engine.last_stats)
+        stat = self._stat
+        if not self._drains:
+            return [stat.render()] if stat is not None else self._sink
+        out = self._drain()
+        if stat is not None:
+            out.append(stat.render())
+        return out
+
+
+class EventPushHandle(_QuerySession):
+    """Session over an interpreted runtime (XSQ-F or XSQ-NC), fed events.
+
+    ``runtime`` is any object with ``feed(event)`` / ``finish()`` and a
+    ``queue`` (:class:`~repro.xsq.buffers.OutputQueue`) draining into
+    ``sink`` — both interpreted runtimes qualify unchanged.
+    """
+
+    feed_mode = FEED_EVENTS
+
+    def __init__(self, engine, runtime, sink: list, stat=None,
+                 streaming_agg: bool = False, drain: bool = True):
+        super().__init__(engine, runtime, sink, stat, streaming_agg, drain)
+        feed = runtime.feed
+        obs = engine.obs
+        if obs is not None:
+            feed = _observed_feed(obs, engine.name, feed, runtime.queue)
+            if obs.profiler is not None:
+                feed = obs.profiler.timed_feed(engine.name, runtime, feed)
+        self._feed = feed
+
+    def feed_events(self, events) -> list:
+        """Feed a batch of events; return the results they determined."""
         if self.closed:
-            return []
-        self.closed = True
+            raise StreamError(_CLOSED)
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
-        self._runtime.finish()
+        count = self._count
+        feed = self._feed
+        for event in events:
+            count += 1
+            feed(event)
+        self._count = count
         out = self._drain()
-        if self._stat is not None:
-            out.append(self._stat.render())
-        self._engine._capture_stats(self._runtime, self._count, self._stat)
-        obs = self._engine.obs
-        if obs is not None:
-            obs.record_run(self._engine.name, self._engine.last_stats)
         if latency is not None:
             latency.emitted(len(out))
         return out
 
 
-class FastPushHandle:
-    """Push handle over a compiled :class:`~repro.xsq.fastpath.FastRuntime`.
+class FastPushHandle(_QuerySession):
+    """Session over a compiled :class:`~repro.xsq.fastpath.FastRuntime`.
 
     Consumes batched ``(kind, tag_id, payload, depth)`` tuples whose tag
     ids were interned through the owning plan's
@@ -149,30 +308,23 @@ class FastPushHandle:
     feed_mode = FEED_BATCH
 
     def __init__(self, engine, runtime, sink: list, stat=None,
-                 streaming_agg: bool = False):
-        self._engine = engine
-        self._runtime = runtime
-        self._sink = sink
-        self._stat = stat
-        self._streaming_agg = streaming_agg
+                 streaming_agg: bool = False, drain: bool = True):
+        super().__init__(engine, runtime, sink, stat, streaming_agg, drain)
         self.tags = engine.plan.tags
-        self._count = 0
-        self.latency = None
-        self.closed = False
-
-    @property
-    def events_fed(self) -> int:
-        return self._count
+        obs = engine.obs
+        if obs is not None and obs.profiler is not None:
+            obs.profiler.timed_kernel(engine.name, runtime, self.tags.names)
+        self._run_batch = runtime.run_batch
 
     def feed_batch(self, batch: list) -> list:
         """Feed one chunk of batched tuples; return determined results."""
         if self.closed:
-            raise StreamError("push handle already finished")
+            raise StreamError(_CLOSED)
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
         self._count += len(batch)
-        self._runtime.run_batch(batch)
+        self._run_batch(batch)
         out = self._drain()
         if latency is not None:
             latency.emitted(len(out))
@@ -192,194 +344,229 @@ class FastPushHandle:
                 append((TEXT, intern(event.tag), event.text, event.depth))
         return self.feed_batch(batch)
 
-    _drain = EventPushHandle._drain
 
-    def finish(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
-        self._runtime.finish()
-        out = self._drain()
-        if self._stat is not None:
-            out.append(self._stat.render())
-        self._engine._capture_stats(self._runtime, self._count, self._stat)
-        obs = self._engine.obs
-        if obs is not None:
-            obs.record_run(self._engine.name, self._engine.last_stats)
-        if latency is not None:
-            latency.emitted(len(out))
-        return out
+class MultiPushHandle(_Session):
+    """Session over every member of a
+    :class:`~repro.xsq.multiquery.MultiQueryEngine`.
 
+    Three result shapes:
 
-class MultiPushHandle:
-    """Push handle over a :class:`~repro.xsq.multiquery.MultiQueryEngine`.
+    * default — every feed returns ``(query_index, value)`` pairs as
+      they are determined, interleaved in stream order; aggregate
+      members surface their final value at ``finish()``;
+    * ``merged=True`` — the union: feeds return nothing and ``finish()``
+      returns the document-order merged value list (document order
+      across members is only known at end of stream);
+    * ``drain=False`` — ``run()``'s session: results stay in ``sinks``
+      and ``finish()`` returns the per-query result lists.
 
-    Two result modes, mirroring the engine's pull modes:
-
-    * ``merged=False`` — every feed returns ``(query_index, value)``
-      pairs as they are determined (the ``iter_results`` shape);
-      aggregate members surface their final value at ``finish()``.
-    * ``merged=True`` — the union shape: feeds return nothing and
-      ``finish()`` returns the document-order merged value list
-      (document order across members is only known at end of stream).
+    The session picks its runtimes once, here.  A non-draining,
+    non-merged session over a group whose members all lowered to
+    kernels runs the kernel group: each parser batch is partitioned by
+    tag-id route and every member runs its sub-batch in one kernel call
+    (:meth:`feed_batch`).  Everything else runs the interpreted group
+    (:meth:`feed_events`), which alone keeps cross-query stream order
+    and, through a shared sequence counter, document order for the
+    union.
     """
 
-    feed_mode = FEED_EVENTS
-
-    def __init__(self, engine, merged: bool = False):
-        self._engine = engine
+    def __init__(self, engine, merged: bool = False, sinks=None,
+                 drain: bool = True):
+        super().__init__(engine)
+        queries = engine.queries
+        if merged:
+            for query in queries:
+                if isinstance(query.output, AggregateOutput):
+                    raise UnsupportedFeatureError(
+                        "merged union cannot include aggregate query %r"
+                        % (query.text,))
+        if sinks is None:
+            sinks = [[] for _ in queries]
+        elif len(sinks) != len(queries):
+            raise ValueError("expected %d sinks, got %d"
+                             % (len(queries), len(sinks)))
         self._merged = merged
-        runtimes, sinks, stats, queues = engine._build_runtimes(
-            shared_seq=merged)
-        self._runtimes = runtimes
+        self._drains = drain and not merged
+        self._returns_lists = not drain and not merged
         self._sinks = sinks
-        self._stats = stats
-        self._queues = queues
+        self._stats = [StatBuffer(query.output.name)
+                       if isinstance(query.output, AggregateOutput)
+                       else None for query in queries]
+        if self._returns_lists and engine._fast is not None:
+            self._open_kernels(engine)
+        else:
+            self._open_matchers(engine)
+
+    def _open_kernels(self, engine) -> None:
+        tags, plans, routes, default = engine._fast
+        self.feed_mode = FEED_BATCH
+        self.tags = tags
+        self._runtimes = [
+            FastRuntime(plan, hpdt, sink, stat=stat)
+            for plan, hpdt, sink, stat in zip(plans, engine.hpdts,
+                                              self._sinks, self._stats)]
+        self._queues = [runtime.queue for runtime in self._runtimes]
+        self._kernels = [runtime.run_batch for runtime in self._runtimes]
+        self._routes_get = routes.get
+        self._default = default
+        self._subs: List[list] = [[] for _ in self._runtimes]
+
+    def _open_matchers(self, engine) -> None:
+        self.feed_mode = FEED_EVENTS
         obs = engine.obs
-        self._on_event = obs.event_hook() if obs is not None else None
+        counter = itertools.count() if self._merged else None
+        trace = obs.events if obs is not None else None
+        accounting = obs.accounting if obs is not None else None
+        labels = [query.text for query in engine.queries]
+        if accounting is not None:
+            # Duplicate member queries must not share a ledger (each
+            # queue numbers its items independently).
+            seen: dict = {}
+            for i, text in enumerate(labels):
+                n = seen.get(text, 0)
+                seen[text] = n + 1
+                if n:
+                    labels[i] = "%s #%d" % (text, n + 1)
+        self._queues = []
+        self._runtimes = []
+        for hpdt, sink, stat, label in zip(engine.hpdts, self._sinks,
+                                           self._stats, labels):
+            queue = OutputQueue(
+                sink, trace=trace,
+                seq_source=(counter.__next__ if counter is not None
+                            else None),
+                track_seqs=self._merged,
+                account=(accounting.account(label, engine=engine.name)
+                         if accounting is not None else None))
+            self._queues.append(queue)
+            self._runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
+                                                 queue=queue))
         index = engine.index
         if index is not None:
             self._routes_get = index.routes.get
             self._default = index.default
-            self._begins = [r.on_begin for r in runtimes]
-            self._texts = [r.on_text for r in runtimes]
-            self._ends = [r.on_end for r in runtimes]
         else:
-            self._routes_get = None
-        self._count = 0
-        self.latency = None
-        self.closed = False
-
-    @property
-    def events_fed(self) -> int:
-        return self._count
+            # Dense loop (the measured baseline): every event to every
+            # member, through the same per-kind handler tables.
+            self._routes_get = {}.get
+            self._default = tuple(range(len(self._runtimes)))
+        runtimes = self._runtimes
+        tables = ([r.on_begin for r in runtimes],
+                  [r.on_text for r in runtimes],
+                  [r.on_end for r in runtimes])
+        self._observe = None
+        if obs is not None:
+            mark = None
+            if obs.profiler is not None:
+                mark, tables = obs.profiler.timed_dispatch(
+                    engine.name, runtimes,
+                    [query.text for query in engine.queries])
+            self._observe = _group_observer(obs, engine, mark)
+        self._begins, self._texts, self._ends = tables
 
     def feed_events(self, events) -> List[Tuple[int, object]]:
         """Feed events; return newly determined ``(index, value)`` pairs
-        interleaved in stream order (empty under ``merged=True``)."""
+        interleaved in stream order (empty when not draining).
+
+        ``TextEvent.tag`` is the *enclosing* element's tag and an end
+        event repeats its begin's tag, so one route lookup serves all
+        three kinds and every member sees a begin/end-balanced event
+        subsequence (its sparse stack stays consistent).
+        """
         if self.closed:
-            raise StreamError("push handle already finished")
+            raise StreamError(_CLOSED)
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
         out: list = []
-        runtimes = self._runtimes
+        routes_get = self._routes_get
+        default = self._default
+        begins = self._begins
+        texts = self._texts
+        ends = self._ends
+        observe = self._observe
+        drains = self._drains
         sinks = self._sinks
         stats = self._stats
-        on_event = self._on_event
-        routes_get = self._routes_get
-        merged = self._merged
         count = self._count
-        if routes_get is None:
-            all_targets = range(len(runtimes))
-            for event in events:
-                count += 1
-                if on_event is not None:
-                    on_event(event)
-                for runtime in runtimes:
-                    runtime.feed(event)
-                if not merged:
-                    for i in all_targets:
+        for event in events:
+            count += 1
+            targets = routes_get(event.tag, default)
+            if observe is not None:
+                observe(event, targets)
+            if targets:
+                kind = event.kind
+                table = (begins if kind == "begin"
+                         else ends if kind == "end" else texts)
+                for i in targets:
+                    table[i](event)
+                if drains:
+                    for i in targets:
                         sink = sinks[i]
                         if sink and stats[i] is None:
                             out.extend((i, value) for value in sink)
                             del sink[:]
-        else:
-            default = self._default
-            begins = self._begins
-            texts = self._texts
-            ends = self._ends
-            for event in events:
-                count += 1
-                if on_event is not None:
-                    on_event(event)
-                targets = routes_get(event.tag, default)
-                if targets:
-                    kind = event.kind
-                    table = (begins if kind == "begin"
-                             else ends if kind == "end" else texts)
-                    for i in targets:
-                        table[i](event)
-                    if not merged:
-                        for i in targets:
-                            sink = sinks[i]
-                            if sink and stats[i] is None:
-                                out.extend((i, value) for value in sink)
-                                del sink[:]
         self._count = count
         if latency is not None:
             latency.emitted(len(out))
         return out
 
-    def finish(self) -> list:
-        """Flush every member; return the tail pairs (or, under
-        ``merged=True``, the whole document-order union list)."""
+    def feed_batch(self, batch: list) -> list:
+        """Kernel group: route each tuple to its members' sub-batches,
+        then run every non-empty sub-batch in one kernel call.  Results
+        stay in the sinks (this runtime serves ``run()`` only)."""
         if self.closed:
-            return []
-        self.closed = True
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
+            raise StreamError(_CLOSED)
+        self._count += len(batch)
+        routes_get = self._routes_get
+        default = self._default
+        subs = self._subs
+        for event in batch:
+            for i in routes_get(event[1], default):
+                subs[i].append(event)
+        for run_batch, sub in zip(self._kernels, subs):
+            if sub:
+                run_batch(sub)
+                del sub[:]
+        return []
+
+    def _finish(self) -> list:
+        engine = self._engine
         count = self._count
-        out: list = []
-        for i, runtime in enumerate(self._runtimes):
+        for runtime in self._runtimes:
             runtime.finish()
-            stat = self._stats[i]
-            if not self._merged:
-                if stat is not None:
-                    out.append((i, stat.render()))
-                else:
-                    sink = self._sinks[i]
-                    out.extend((i, value) for value in sink)
-                    del sink[:]
-        run_stats = []
-        for runtime, queue in zip(self._runtimes, self._queues):
-            run_stats.append(RunStats(
-                events=count,
-                enqueued=queue.enqueued_total,
-                cleared=queue.cleared_total,
-                emitted=queue.emitted_total,
-                peak_buffered_items=queue.peak_size,
-                peak_instances=runtime.peak_instances,
-                flushed=queue.flushed_total,
-                uploaded=queue.uploaded_total))
-        self._engine.last_stats = run_stats
-        obs = self._engine.obs
-        if obs is not None:
-            for run in run_stats:
-                obs.record_run(self._engine.name, run)
+        # ``events`` is the *global* stream length for every member: all
+        # queries share the single pass even when the dispatch index
+        # withheld most events from their runtimes.
+        engine.last_stats = [RunStats.of(runtime, count)
+                             for runtime in self._runtimes]
+        if engine.obs is not None:
+            for run in engine.last_stats:
+                engine.obs.record_run(engine.name, run)
         if self._merged:
             tagged: List[Tuple[int, str]] = []
-            for member_sink, queue in zip(self._sinks, self._queues):
-                tagged.extend(zip(queue.emitted_seqs, member_sink))
+            for sink, queue in zip(self._sinks, self._queues):
+                tagged.extend(zip(queue.emitted_seqs, sink))
             tagged.sort(key=lambda pair: pair[0])
-            out = [value for _, value in tagged]
-        if latency is not None:
-            latency.emitted(len(out))
+            return [value for _, value in tagged]
+        if self._returns_lists:
+            return [[stat.render()] if stat is not None else sink
+                    for sink, stat in zip(self._sinks, self._stats)]
+        out: list = []
+        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
+            if stat is not None:
+                out.append((i, stat.render()))
+            else:
+                out.extend((i, value) for value in sink)
+                del sink[:]
         return out
 
 
-class NullPushHandle:
-    """Push handle for the empty-rewritten query: accepts and discards."""
-
-    feed_mode = FEED_NONE
-
-    def __init__(self):
-        self.closed = False
-        self._count = 0
-        self.latency = None
-
-    @property
-    def events_fed(self) -> int:
-        return self._count
+class NullPushHandle(_Session):
+    """Session for the empty-rewritten query: counts and discards."""
 
     def feed_events(self, events) -> list:
+        if self.closed:
+            raise StreamError(_CLOSED)
         self._count += sum(1 for _ in events)
-        return []
-
-    def finish(self) -> list:
-        self.closed = True
         return []

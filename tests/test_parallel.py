@@ -196,6 +196,39 @@ class TestFailures:
         assert info.value.source == "the-poison-doc"
         assert "the-poison-doc" in str(info.value)
 
+    def test_exit_after_last_message_is_not_a_crash(self):
+        """A worker can put its goodbye and exit between the parent's
+        empty-queue poll and its liveness check: the unread message
+        must win over the clean exit code."""
+        class ExitedProcess:
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+        class LateQueue:
+            """Reads empty on the first poll, then holds the goodbye."""
+
+            def __init__(self):
+                self.polls = 0
+                self.messages = [("done", 0, {"docs": 0})]
+
+            def empty(self):
+                self.polls += 1
+                return self.polls == 1
+
+            def get(self):
+                return self.messages.pop(0)
+
+        class TaskQueue:
+            def put(self, _item):
+                pass
+
+        pool = TaskPool(None, workers=1, poll_interval=0)
+        pool._processes = [ExitedProcess()]
+        assert list(pool._collect(iter(()), TaskQueue(), LateQueue())) == []
+        assert pool.worker_summaries == {0: {"docs": 0}}
+
     def test_setup_failure_surfaces(self):
         class BadSetupSpec:
             def setup(self, worker_id):
