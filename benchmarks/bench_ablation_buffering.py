@@ -10,6 +10,7 @@ the trace facility itself.
 import pytest
 
 from repro.bench.figures import FIG20_QUERY, ablation_buffering
+from repro.obs import Observability
 from repro.xsq.engine import XSQEngine
 
 PROBES = {
@@ -38,10 +39,14 @@ def test_buffering_regimes(benchmark, cache, probe):
 @pytest.mark.benchmark(group="ablation-buffering-trace")
 @pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
 def test_trace_overhead(benchmark, cache, traced):
-    """The example-level trace recorder is diagnostics, not hot path."""
+    """The buffer-operation event trace is diagnostics, not hot path."""
     path = cache.path("ordered", filler_repeats=2000)
-    engine = XSQEngine("/root/a[posterior=0]", trace=traced)
+    obs = (Observability(spans=False, metrics=False, events=True)
+           if traced else None)
+    engine = XSQEngine("/root/a[posterior=0]", obs=obs)
     benchmark(engine.run, path)
+    if traced:
+        assert obs.events.records
 
 
 def test_report_ablation_buffering(cache):

@@ -21,7 +21,7 @@ QUERIES = {
     "cat0-none": "/root/g/n/text()",
     "cat1-attr": "/root/g[@id]/n/text()",
     "cat2-text": "/root/g[text()]/n/text()",
-    "cat3-child": "/root/g[k]/n/text()",
+    "cat3-child": "/root/g[flag]/n/text()",
     "cat4-child-attr": "/root/g[k@a=1]/n/text()",
     "cat5-child-text": "/root/g[k=5]/n/text()",
     "cat6-path": "/root/g[sub/leaf=5]/n/text()",

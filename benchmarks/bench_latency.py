@@ -6,7 +6,10 @@ tracker attached, registers 1 / 10 / 50 subscribers on the same
 standing query, streams a corpus of documents through a feeder
 connection in small chunks, and reports the p50/p99/max of the
 per-result delivery latency — feed-call entry to socket write, the full
-provenance path :mod:`repro.obs.latency` stamps.
+provenance path :mod:`repro.obs.latency` stamps.  One more cell
+registers 50 subscribers on 50 *distinct* queries that each select
+every item, so a latency win cannot come from query deduplication
+alone.
 
 Everything runs on localhost loopback inside one asyncio loop, so the
 numbers measure the serving pipeline (parse -> match -> dispatch ->
@@ -40,7 +43,15 @@ SCHEMA_VERSION = 1
 
 SUBSCRIBER_COUNTS = [1, 10, 50]
 
+#: Subscribers in the distinct-query cell, one query each.
+DISTINCT_SUBSCRIBERS = 50
+
 QUERY = "/pub/item/value/text()"
+
+
+def distinct_query(index: int, items: int) -> str:
+    """The ``index``-th distinct query; each selects every item."""
+    return "/pub/item[id<%d]/value/text()" % (items + index)
 
 #: p99 sanity ceiling under --check (seconds).  Loopback delivery is
 #: tens of microseconds on an idle machine; a whole second means the
@@ -93,16 +104,19 @@ class _Client:
 
 
 async def run_cell(subscribers: int, documents: int, items: int,
-                   chunk_bytes: int) -> Dict[str, object]:
+                   chunk_bytes: int,
+                   distinct: bool = False) -> Dict[str, object]:
     obs = Observability(spans=False, events=False, recorder=True)
     server = XsqServer("127.0.0.1", 0, obs=obs)
     await server.start()
     subs: List[_Client] = []
     feeder = None
+    queries = ([distinct_query(index, items) for index in range(subscribers)]
+               if distinct else [QUERY] * subscribers)
     try:
-        for _ in range(subscribers):
+        for query in queries:
             client = await _Client.connect(server)
-            reply = await client.call(op="subscribe", query=QUERY)
+            reply = await client.call(op="subscribe", query=query)
             assert reply.get("ok"), reply
             subs.append(client)
         feeder = await _Client.connect(server)
@@ -145,6 +159,7 @@ async def run_cell(subscribers: int, documents: int, items: int,
 
     return {
         "subscribers": subscribers,
+        "distinct_queries": len(set(queries)),
         "documents": documents,
         "items_per_document": items,
         "expected_results": expected_total,
@@ -157,7 +172,8 @@ async def run_cell(subscribers: int, documents: int, items: int,
 
 def check_cell(cell: Dict[str, object]) -> List[str]:
     failures = []
-    label = "subs=%s" % cell["subscribers"]
+    label = "subs=%s/distinct=%s" % (cell["subscribers"],
+                                     cell["distinct_queries"])
     if cell["results"] != cell["expected_results"]:
         failures.append(
             "%s: %s results latency-tracked, expected %s"
@@ -197,20 +213,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     documents, items = args.documents, args.items
-    counts = list(SUBSCRIBER_COUNTS)
+    cells = [(count, False) for count in SUBSCRIBER_COUNTS]
+    cells.append((DISTINCT_SUBSCRIBERS, True))
     if args.quick:
         documents, items = 10, 10
-        counts = [1, 10]
+        cells = [(1, False), (10, False), (10, True)]
 
     entries: List[Dict[str, object]] = []
     failures: List[str] = []
-    for subscribers in counts:
+    for subscribers, distinct in cells:
         cell = asyncio.run(run_cell(subscribers, documents, items,
-                                    args.chunk_bytes))
+                                    args.chunk_bytes, distinct))
         entries.append(cell)
-        print("subs=%-3d docs=%-3d  results=%-6d  p50=%8.1fus  "
-              "p99=%8.1fus  max=%8.1fus"
-              % (subscribers, documents, cell["results"],
+        print("subs=%-3d distinct=%-3d docs=%-3d  results=%-6d  "
+              "p50=%8.1fus  p99=%8.1fus  max=%8.1fus"
+              % (subscribers, cell["distinct_queries"], documents,
+                 cell["results"],
                  cell["delivery_p50_seconds"] * 1e6,
                  cell["delivery_p99_seconds"] * 1e6,
                  cell["delivery_max_seconds"] * 1e6))

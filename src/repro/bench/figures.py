@@ -16,6 +16,7 @@ from repro.bench.datasets import DatasetCache
 from repro.bench.metrics import (
     measure_memory,
     measure_throughput,
+    measure_throughputs,
     pureparser_seconds,
 )
 from repro.bench.report import bar_chart, format_table
@@ -316,18 +317,18 @@ def fig21_ordering(cache: Optional[DatasetCache] = None,
     cache = cache or DatasetCache()
     path = cache.path("ordered", filler_repeats=2000)
     baseline = pureparser_seconds(path, repeat=repeat)
+    jobs = [(ADAPTERS[name], query) for query in FIG21_QUERIES
+            for name in ("XSQ-NC", "XSQ-F", "Saxon")]
     rows = []
-    for query in FIG21_QUERIES:
-        for name in ("XSQ-NC", "XSQ-F", "Saxon"):
-            run = measure_throughput(ADAPTERS[name], query, path,
-                                     repeat=repeat)
-            rows.append({
-                "query": query,
-                "system": name,
-                "relative_throughput": min(1.0, baseline / run.seconds),
-                "seconds": run.seconds,
-                "results": run.result_count,
-            })
+    for (adapter, query), run in zip(jobs, measure_throughputs(
+            jobs, path, repeat=repeat)):
+        rows.append({
+            "query": query,
+            "system": adapter.name,
+            "relative_throughput": min(1.0, baseline / run.seconds),
+            "seconds": run.seconds,
+            "results": run.result_count,
+        })
     return ExperimentResult(
         "fig21", "Effect of data ordering on throughput", rows,
         notes=("Paper shape: all queries return empty results; XSQ-NC is "
@@ -347,20 +348,23 @@ def fig22_result_size(cache: Optional[DatasetCache] = None,
     cache = cache or DatasetCache()
     path = cache.path("colors")
     baseline = pureparser_seconds(path, repeat=repeat)
-    rows = []
+    shares = {"Red": "10%", "Green": "30%", "Blue": "60%"}
+    labels = []
+    jobs = []
     for color, query in FIG22_QUERIES.items():
         for name in ("XSQ-NC", "XSQ-F", "XMLTK", "Saxon", "Joost"):
-            run = measure_throughput(ADAPTERS[name], query, path,
-                                     repeat=repeat)
-            rows.append({
-                "query": "/a/%s (%s)" % (color,
-                                         {"Red": "10%", "Green": "30%",
-                                          "Blue": "60%"}[color]),
-                "system": name,
-                "relative_throughput": min(1.0, baseline / run.seconds),
-                "seconds": run.seconds,
-                "results": run.result_count,
-            })
+            labels.append("/a/%s (%s)" % (color, shares[color]))
+            jobs.append((ADAPTERS[name], query))
+    rows = []
+    for label, (adapter, _), run in zip(labels, jobs, measure_throughputs(
+            jobs, path, repeat=repeat)):
+        rows.append({
+            "query": label,
+            "system": adapter.name,
+            "relative_throughput": min(1.0, baseline / run.seconds),
+            "seconds": run.seconds,
+            "results": run.result_count,
+        })
     return ExperimentResult(
         "fig22", "Effect of result size on throughput", rows,
         notes=("Paper shape: XSQ-NC degrades most as the result grows "
@@ -380,10 +384,9 @@ def ablation_determinism(cache: Optional[DatasetCache] = None,
     for name in ("shake", "dblp"):
         path = cache.path(name)
         query = DATASET_QUERIES[name]
-        nc = measure_throughput(ADAPTERS["XSQ-NC"], query, path,
-                                repeat=repeat)
-        full = measure_throughput(ADAPTERS["XSQ-F"], query, path,
-                                  repeat=repeat)
+        nc, full = measure_throughputs(
+            [(ADAPTERS["XSQ-NC"], query), (ADAPTERS["XSQ-F"], query)],
+            path, repeat=repeat)
         rows.append({
             "dataset": name.upper(),
             "query": query,

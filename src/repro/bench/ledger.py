@@ -122,8 +122,13 @@ def flatten(artifact: dict) -> Dict[Tuple[str, str], float]:
             # Delivery-latency distributions from the serve pipeline.
             # The metric names deliberately avoid every higher-is-better
             # fragment: latency regresses when it *grows*.
-            key = "subs%s@%sdocs" % (workload.get("subscribers", "?"),
-                                     workload.get("documents", "?"))
+            # Cells of identical subscriptions keep the plain key; a
+            # cell of distinct queries is a different workload.
+            key = "subs%s%s@%sdocs" % (
+                workload.get("subscribers", "?"),
+                "-distinct" if workload.get("distinct_queries", 1) > 1
+                else "",
+                workload.get("documents", "?"))
             for metric in ("delivery_p50_seconds", "delivery_p99_seconds",
                            "delivery_max_seconds"):
                 if metric in workload:

@@ -22,7 +22,7 @@ import gc
 import os
 import time
 import tracemalloc
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.bench.systems import PureParserAdapter, SystemAdapter
 
@@ -92,6 +92,8 @@ def measure_throughput(adapter: SystemAdapter, query: str, path: str,
     """Time a full run (compile + preprocess + query), best of ``repeat``.
 
     Phases are timed separately so Figure 18 can split the stacked bar.
+    Each repeat starts from a collected heap, so a cyclic collection of
+    garbage an earlier run left behind is not charged to this one.
     ``obs`` accepts an :class:`repro.obs.Observability` bundle: each
     repeat becomes a ``measure`` span (with the adapter's phase spans
     nested underneath) and the best run's numbers land in the metrics
@@ -106,6 +108,7 @@ def measure_throughput(adapter: SystemAdapter, query: str, path: str,
         for _ in range(max(1, repeat)):
             span = (obs.span("measure", system=adapter.name, query=query)
                     if obs is not None else None)
+            gc.collect()
             if span is not None:
                 span.__enter__()
             t0 = time.perf_counter()
@@ -141,6 +144,30 @@ def measure_throughput(adapter: SystemAdapter, query: str, path: str,
             obs.metrics.gauge("repro_phase_seconds",
                               "wall time of the Figure 18 phases",
                               system=adapter.name, phase=phase).set(seconds)
+    return best
+
+
+def measure_throughputs(jobs: List[Tuple[SystemAdapter, str]], path: str,
+                        repeat: int = 1) -> List[ThroughputMeasurement]:
+    """Time several ``(adapter, query)`` runs over one file, best of
+    ``repeat`` each, with the repeats interleaved round-robin.
+
+    The figures that compare runs against each other (one query against
+    another, XSQ-F against XSQ-NC) use this instead of back-to-back
+    :func:`measure_throughput` calls: a burst of machine load then
+    slows one round of every job rather than every repeat of one job,
+    instead of inverting the comparison.  Every other round runs the
+    jobs in reverse, so no job always runs first.
+    """
+    best: List[Optional[ThroughputMeasurement]] = [None] * len(jobs)
+    order = list(range(len(jobs)))
+    for _ in range(max(1, repeat)):
+        for i in order:
+            adapter, query = jobs[i]
+            run = measure_throughput(adapter, query, path)
+            if best[i] is None or run.seconds < best[i].seconds:
+                best[i] = run
+        order.reverse()
     return best
 
 

@@ -58,10 +58,12 @@ def generate_predicate_probe(target_bytes: int = 1_000_000, seed: int = 31,
     """Records exercising every predicate category at once.
 
     Each record carries an attribute (category 1), own text (2), a
-    ``k`` child with an attribute and numeric text (3/4/5), and a
-    nested ``sub/leaf`` path (6), so one dataset supports the
-    predicate-cost ablation with all queries selecting the same ~50%
-    of records.
+    ``flag`` child (3), a ``k`` child with an attribute and numeric text
+    (4/5), and a nested ``sub/leaf`` path (6), so one dataset supports
+    the predicate-cost ablation with all queries selecting the same
+    ~50% of records.  Every record has a ``k`` child (``not(k=7)``
+    needs one on the unselected records), so the existence test is on
+    ``flag``, which only selected records carry.
     """
     rng = random.Random(seed)
     writer, stream = open_target(path)
@@ -75,6 +77,8 @@ def generate_predicate_probe(target_bytes: int = 1_000_000, seed: int = 31,
         else:
             writer.begin("g")
         writer.text("t" if selected else "")
+        if selected:
+            writer.element("flag", "")
         writer.begin("k", a="1" if selected else "0")
         writer.text("5" if selected else "7")
         writer.end()

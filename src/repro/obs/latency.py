@@ -9,10 +9,12 @@ monotonic clock discipline as :mod:`repro.obs.spans`:
     feed-call entry -> event batch parsed -> result emitted ->
     broker dispatch -> outbox enqueue -> socket write
 
-Each result carries one :class:`ResultTiming` record.  Stages stamp it
-as the result passes: push handles stamp entry/emit, the broker stream
-stamps feed/batch, the server stamps dispatch/enqueue/write.  Completed
-timings fold into a :class:`DeliveryTracker` — per-subscription
+Each delivered result carries one :class:`ResultTiming` record.  Stages
+stamp it as the result passes: the broker stream stamps feed/batch and,
+after fanning results out to their subscriptions, emit; the server
+stamps dispatch/enqueue/write.  (A bare push handle with a recorder
+stamps entry/emit itself.)  Completed timings fold into a
+:class:`DeliveryTracker` — per-subscription
 ``repro_serve_delivery_seconds`` and per-stage
 ``repro_serve_stage_seconds`` histograms on the shared metrics
 registry, plus bounded in-memory reservoirs for exact p50/p99 in
@@ -110,11 +112,12 @@ class LatencyRecorder:
     """Per-stream stamping frontend for one feed/emit cycle.
 
     A :class:`~repro.serve.broker.BrokerStream` owns one recorder and
-    attaches it to its push handle's ``latency`` slot.  The stream
-    stamps ``start_feed``/``mark_batch`` at the transport boundary; the
-    handle stamps ``handle_entry`` and ``emitted`` around its drain, so
-    a recorder attached directly to a bare handle still measures the
-    entry-to-emit segment.
+    stamps it itself: ``start_feed``/``mark_batch`` at the transport
+    boundary, then :meth:`emitted_to` once its results are fanned out
+    to their subscriptions.  A recorder attached to a bare push
+    handle's ``latency`` slot is stamped by the handle instead
+    (``handle_entry`` and :meth:`emitted` around its drain) and measures
+    the entry-to-emit segment.
     """
 
     __slots__ = ("tracker", "clock", "pending", "_feed", "_batch")
@@ -153,6 +156,26 @@ class LatencyRecorder:
             feed, batch = self._feed, self._batch
             self.pending.extend(
                 ResultTiming(feed, batch, now) for _ in range(count))
+        self._feed = None
+        self._batch = None
+
+    def emitted_to(self, owners: Sequence[Tuple[str, str]]) -> None:
+        """Record one delivered result per ``(sub, tenant)`` in ``owners``.
+
+        The broker's form of :meth:`emitted`: it stamps emission after
+        fanning each engine result out to every subscription that owns
+        its query, so each delivered pair gets its own record, labelled
+        at birth.
+        """
+        if owners:
+            now = self.clock()
+            feed, batch = self._feed, self._batch
+            pending = self.pending
+            for sub, tenant in owners:
+                timing = ResultTiming(feed, batch, now)
+                timing.sub = sub
+                timing.tenant = tenant
+                pending.append(timing)
         self._feed = None
         self._batch = None
 

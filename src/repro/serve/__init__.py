@@ -9,9 +9,10 @@ transport-independent layers:
 * :class:`SubscriptionBroker` / :class:`BrokerStream`
   (:mod:`repro.serve.broker`) — the synchronous core: a hot
   subscribe/unsubscribe registry with per-tenant quotas and metrics,
-  compiling all standing queries into one shared-dispatch grouped
-  engine, evaluated incrementally per document through the engines'
-  push handles.
+  compiling the distinct standing queries into one shared-dispatch
+  grouped engine (kernel-capable members on their generated kernels),
+  evaluated incrementally per document and fanned out to every
+  subscription that holds each query.
 * :class:`XsqServer` / :func:`serve` (:mod:`repro.serve.server`) — the
   asyncio JSON-lines front-end behind ``xsq serve``: per-connection
   tenants, result fan-out to each subscription's owner, bounded

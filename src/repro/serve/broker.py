@@ -7,14 +7,23 @@ independent of any transport:
 
 * **persistent queries** — ``subscribe()`` / ``unsubscribe()`` register
   XPath subscriptions hot, per tenant, against configurable quotas.
-  Compiled HPDTs are shared through the process compile cache, and the
-  grouped engine (one shared
-  :class:`~repro.xsq.dispatch.DispatchIndex`) is rebuilt lazily, only
-  when the registry actually changed.
+* **each distinct query once** — subscriptions are grouped by
+  canonical query text; the grouped engine (one shared
+  :class:`~repro.xsq.dispatch.DispatchIndex`) holds one member per
+  distinct text, and each member result fans out to every subscription
+  holding that text.  The engine is rebuilt lazily, only when the set
+  of distinct texts changed: a duplicate's subscribe or unsubscribe,
+  or a churn that re-registers the same text, rebuilds just the
+  fan-out table.  Members run on the fastest runtime they lower to
+  (generated kernels for child-axis queries, XSQ-F's matcher for the
+  rest), all fed from one parse per chunk.
 * **incremental documents** — :meth:`open_stream` starts one document;
   the returned :class:`BrokerStream` accepts raw chunks (``feed``) and
   returns ``(subscription_id, value)`` results the moment the paper's
-  buffering discipline determines them — no EOF needed.
+  buffering discipline determines them — no EOF needed.  Each
+  subscription's results arrive in document order, and every result a
+  chunk determines is returned by that chunk's ``feed()``; the order
+  across subscriptions within one call is not promised.
 * **registry snapshots** — a stream binds the registry at open time;
   subscriptions added mid-document take effect from the next document,
   so every document is evaluated against one consistent query set.
@@ -47,13 +56,15 @@ DEFAULT_TENANT = "default"
 
 
 class Subscription:
-    """One registered standing query."""
+    """One registered standing query (``query`` is its parsed AST,
+    ``text`` the canonical text subscriptions are grouped by)."""
 
-    __slots__ = ("sid", "text", "tenant", "results", "documents")
+    __slots__ = ("sid", "query", "text", "tenant", "results", "documents")
 
-    def __init__(self, sid: str, text: str, tenant: str):
+    def __init__(self, sid: str, query, tenant: str):
         self.sid = sid
-        self.text = text
+        self.query = query
+        self.text = query.text
         self.tenant = tenant
         self.results = 0
         self.documents = 0
@@ -61,6 +72,24 @@ class Subscription:
     def as_dict(self) -> dict:
         return {"sub": self.sid, "query": self.text, "tenant": self.tenant,
                 "results": self.results, "documents": self.documents}
+
+
+class _Snapshot:
+    """One consistent view of the registry for the documents it serves.
+
+    ``sids`` are the registered subscription ids in registration order;
+    ``engine`` is the grouped engine over the distinct query texts (None
+    when the registry is empty); ``fanout[i]`` lists the subscription
+    ids whose canonical text is member ``i``, in registration order.
+    """
+
+    __slots__ = ("generation", "sids", "engine", "fanout")
+
+    def __init__(self, generation: int, sids: List[str], engine, fanout):
+        self.generation = generation
+        self.sids = sids
+        self.engine = engine
+        self.fanout: List[Tuple[str, ...]] = fanout
 
 
 class SubscriptionBroker:
@@ -79,9 +108,9 @@ class SubscriptionBroker:
                  cache=None):
         self.obs = obs
         #: End-to-end delivery latency tracker; streams opened from this
-        #: broker stamp per-result provenance records against it.  Off
-        #: (``None``) when no bundle is attached — the handles then keep
-        #: ``latency = None`` and the stamp sites cost one None test.
+        #: broker stamp one provenance record per delivered result
+        #: against it.  Off (``None``) when no bundle is attached, and
+        #: the stamp sites then cost one None test.
         self.delivery = obs.enable_delivery() if obs is not None else None
         self.max_subscriptions_per_tenant = max_subscriptions_per_tenant
         self._cache = cache
@@ -90,8 +119,11 @@ class SubscriptionBroker:
         self._by_tenant: Dict[str, int] = {}
         self._ids = itertools.count(1)
         self._generation = 0
-        # (generation, [sid...], MultiQueryEngine|None) of the last build.
-        self._compiled: Optional[Tuple[int, List[str], object]] = None
+        # The grouped engine and the distinct texts it was built over
+        # (its member order); reused while that set is unchanged.
+        self._engine = None
+        self._texts: List[str] = []
+        self._snapshot: Optional[_Snapshot] = None
 
     # -- registry ----------------------------------------------------------
 
@@ -113,7 +145,7 @@ class SubscriptionBroker:
                     "(quota %d)" % (tenant, held, quota),
                     tenant=tenant, quota=quota)
             sid = "s%d" % next(self._ids)
-            self._subs[sid] = Subscription(sid, parsed.text or query, tenant)
+            self._subs[sid] = Subscription(sid, parsed, tenant)
             self._by_tenant[tenant] = held + 1
             self._generation += 1
         self._gauge_subscriptions(tenant)
@@ -142,35 +174,74 @@ class SubscriptionBroker:
         return len(self._subs)
 
     def describe(self) -> List[dict]:
-        """Registry snapshot for the server's ``stats`` op."""
+        """Registry snapshot for the server's ``stats`` op.
+
+        Each entry names the runtime its query's engine member runs
+        (``kernel`` or ``xsq-f``) and how many distinct queries the
+        registry holds (the members each document is evaluated on).
+        """
+        snapshot = self._current()
+        runtimes: Dict[str, str] = {}
+        if snapshot.engine is not None:
+            for owners, runtime in zip(snapshot.fanout,
+                                       snapshot.engine.member_runtimes):
+                for sid in owners:
+                    runtimes[sid] = runtime
+        distinct = len(snapshot.fanout)
         with self._lock:
-            return [sub.as_dict() for sub in self._subs.values()]
+            subs = list(self._subs.values())
+        described = []
+        for sub in subs:
+            entry = sub.as_dict()
+            entry["runtime"] = runtimes.get(sub.sid)
+            entry["distinct_queries"] = distinct
+            described.append(entry)
+        return described
 
     # -- evaluation --------------------------------------------------------
 
-    def _snapshot_engine(self):
-        """The grouped engine over the current registry, rebuilt only
-        when the registry's generation moved."""
+    def _current(self) -> _Snapshot:
+        """The registry snapshot, refreshed when the registry moved.
+
+        Subscriptions are grouped by canonical query text, and the
+        grouped engine is built over the distinct texts only.  A change
+        that leaves the distinct set as it was (a duplicate's subscribe
+        or unsubscribe, a churn that re-registers the same text) keeps
+        the engine and rebuilds only the fan-out table.
+        """
         with self._lock:
-            generation = self._generation
-            if self._compiled is not None and \
-                    self._compiled[0] == generation:
-                return self._compiled[1], self._compiled[2]
-            sids = list(self._subs)
-            if sids:
-                from repro.xsq.multiquery import MultiQueryEngine
-                engine = MultiQueryEngine(
-                    [self._subs[sid].text for sid in sids],
-                    cache=self._cache)
-            else:
-                engine = None
-            self._compiled = (generation, sids, engine)
-            return sids, engine
+            snapshot = self._snapshot
+            if snapshot is not None and \
+                    snapshot.generation == self._generation:
+                return snapshot
+            owners: Dict[str, List[str]] = {}
+            for sid, sub in self._subs.items():
+                owners.setdefault(sub.text, []).append(sid)
+            if set(owners) != set(self._texts):
+                self._texts = list(owners)
+                if self._texts:
+                    from repro.xsq.multiquery import MultiQueryEngine
+                    self._engine = MultiQueryEngine(
+                        [self._subs[sids[0]].query
+                         for sids in owners.values()],
+                        cache=self._cache)
+                else:
+                    self._engine = None
+            snapshot = _Snapshot(
+                self._generation, list(self._subs), self._engine,
+                [tuple(owners[text]) for text in self._texts])
+            self._snapshot = snapshot
+            return snapshot
+
+    def _snapshot_engine(self):
+        """``(subscription ids, grouped engine)`` of the current
+        snapshot (the engine is None for an empty registry)."""
+        snapshot = self._current()
+        return list(snapshot.sids), snapshot.engine
 
     def open_stream(self, tenant: str = DEFAULT_TENANT) -> "BrokerStream":
         """Start one document against the current registry snapshot."""
-        sids, engine = self._snapshot_engine()
-        return BrokerStream(self, sids, engine, tenant)
+        return BrokerStream(self, self._current(), tenant)
 
     # -- metrics -----------------------------------------------------------
 
@@ -191,30 +262,39 @@ class SubscriptionBroker:
 class BrokerStream:
     """One document fed incrementally through every registered query.
 
-    Results are ``(subscription_id, value)`` pairs, returned from the
-    ``feed`` call whose bytes determined them.  ``finish()`` flushes
-    the engines' buffer discipline and closes the stream.  When the
-    registry snapshot was empty, chunks are still parsed (a malformed
-    document errors identically with or without subscribers).
+    Results are ``(subscription_id, value)`` pairs.  Each subscription's
+    results arrive in document order, and every result a chunk
+    determines is returned by that chunk's ``feed()`` (order *across*
+    subscriptions within one call is not promised).  ``finish()``
+    flushes the engines' buffer discipline and closes the stream.  When
+    the registry snapshot was empty, chunks are still parsed (a
+    malformed document errors identically with or without subscribers).
     """
 
-    def __init__(self, broker: SubscriptionBroker, sids: List[str],
-                 engine, tenant: str):
+    def __init__(self, broker: SubscriptionBroker, snapshot: _Snapshot,
+                 tenant: str):
         self._broker = broker
-        self._sids = sids
+        self._sids = snapshot.sids
+        self._fanout = snapshot.fanout
         self._tenant = tenant
         self._bytes = 0
         self._chunks = 0
         self.closed = False
-        from repro.streaming.push import PushEventParser
-        self._parser = PushEventParser()
-        self._handle = engine.push() if engine is not None else None
+        from repro.streaming.push import PushBatchParser
+        from repro.xsq.fastpath import TagTable
+        from repro.xsq.push import MixedGroupHandle
+        engine = snapshot.engine
+        # The broker's engine carries no obs bundle, so it always opens
+        # the mixed group; an empty registry still parses.
+        self._handle = (MixedGroupHandle(engine)
+                        if engine is not None else None)
+        self._parser = PushBatchParser(self._handle.tags
+                                       if self._handle is not None
+                                       else TagTable())
         delivery = broker.delivery
         self._latency = (delivery.recorder()
                          if delivery is not None and self._handle is not None
                          else None)
-        if self._latency is not None:
-            self._handle.latency = self._latency
 
     @property
     def subscription_ids(self) -> List[str]:
@@ -222,19 +302,25 @@ class BrokerStream:
         return list(self._sids)
 
     def _route(self, pairs) -> List[Tuple[str, str]]:
+        """Fan each member result out to every subscription that owns
+        the member's query; count results per delivered pair."""
         if not pairs:
             return []
-        sids = self._sids
-        subs = self._broker._subs
+        fanout = self._fanout
         out = []
-        per_tenant: Dict[str, int] = {}
+        per_member: Dict[int, int] = {}
         for index, value in pairs:
-            sid = sids[index]
-            out.append((sid, value))
-            sub = subs.get(sid)
-            if sub is not None:
-                sub.results += 1
-                per_tenant[sub.tenant] = per_tenant.get(sub.tenant, 0) + 1
+            owners = fanout[index]
+            out.extend((sid, value) for sid in owners)
+            per_member[index] = per_member.get(index, 0) + 1
+        subs = self._broker._subs
+        per_tenant: Dict[str, int] = {}
+        for index, n in per_member.items():
+            for sid in fanout[index]:
+                sub = subs.get(sid)
+                if sub is not None:
+                    sub.results += n
+                    per_tenant[sub.tenant] = per_tenant.get(sub.tenant, 0) + n
         for tenant, n in per_tenant.items():
             self._broker._count(
                 "repro_serve_results_total",
@@ -242,19 +328,16 @@ class BrokerStream:
                 tenant, n)
         return out
 
-    def _label_timings(self, routed: List[Tuple[str, str]]) -> None:
-        """Stamp subscription/tenant onto the timings this feed emitted.
-
-        The push handle appended exactly ``len(routed)`` provenance
-        records to the recorder, in the same order ``_route`` mapped
-        them — so a positional zip over the pending tail labels 1:1.
-        """
-        timings = self._latency.pending[-len(routed):]
+    def _stamp(self, routed: List[Tuple[str, str]]) -> None:
+        """Stamp emission onto one provenance record per delivered
+        pair, labelled with its subscription and that one's tenant."""
         subs = self._broker._subs
-        for (sid, _value), timing in zip(routed, timings):
-            timing.sub = sid
+        owners = []
+        for sid, _value in routed:
             sub = subs.get(sid)
-            timing.tenant = sub.tenant if sub is not None else self._tenant
+            owners.append((sid, sub.tenant if sub is not None
+                           else self._tenant))
+        self._latency.emitted_to(owners)
 
     def take_timings(self):
         """Claim the provenance records emitted since the last take."""
@@ -269,14 +352,14 @@ class BrokerStream:
         recorder = self._latency
         if recorder is not None:
             recorder.start_feed()
-        events = self._parser.feed(chunk)
+        parsed = self._parser.feed(chunk)
         if recorder is not None:
             recorder.mark_batch()
         if self._handle is None:
             return []
-        out = self._route(self._handle.feed_events(events))
-        if recorder is not None and out:
-            self._label_timings(out)
+        out = self._route(self._handle.feed_batch(parsed))
+        if recorder is not None:
+            self._stamp(out)
         return out
 
     def finish(self) -> List[Tuple[str, str]]:
@@ -287,15 +370,15 @@ class BrokerStream:
         recorder = self._latency
         if recorder is not None:
             recorder.start_feed()
-        events = self._parser.finish()
+        parsed = self._parser.finish()
         if recorder is not None:
             recorder.mark_batch()
         out: List[Tuple[str, str]] = []
         if self._handle is not None:
-            out = self._route(self._handle.feed_events(events)
+            out = self._route(self._handle.feed_batch(parsed)
                               + self._handle.finish())
-            if recorder is not None and out:
-                self._label_timings(out)
+            if recorder is not None:
+                self._stamp(out)
         broker = self._broker
         for sid in self._sids:
             sub = broker._subs.get(sid)

@@ -55,6 +55,7 @@ interpreted runtime with the reason surfaced in ``.explain()``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FastPathUnsupportedError
@@ -93,18 +94,26 @@ class TagTable:
     id routes — keys on the resulting ints.
     """
 
-    __slots__ = ("ids", "names")
+    __slots__ = ("ids", "names", "_lock")
 
     def __init__(self):
         self.ids: Dict[str, int] = {}
         self.names: List[str] = []
+        self._lock = threading.Lock()
 
     def intern(self, tag: str) -> int:
         tid = self.ids.get(tag)
         if tid is None:
-            tid = len(self.names)
-            self.ids[tag] = tid
-            self.names.append(tag)
+            # One table serves every session of its plan or group, and
+            # serve broker streams may be fed from different threads:
+            # assign new ids under a lock (hits stay lock-free), and
+            # publish the name before the id.
+            with self._lock:
+                tid = self.ids.get(tag)
+                if tid is None:
+                    tid = len(self.names)
+                    self.names.append(tag)
+                    self.ids[tag] = tid
         return tid
 
     def get(self, tag: str) -> Optional[int]:

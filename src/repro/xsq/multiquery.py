@@ -20,8 +20,8 @@ is shared.  ``shared_dispatch=False`` recovers the dense loop (every
 event to every runtime) for A/B measurement — the bench harness
 compares both against N independent engines.
 
-Every result mode is one group session
-(:class:`repro.xsq.push.MultiPushHandle`) fed by a different caller:
+Every result mode is one group session (:mod:`repro.xsq.push`) fed by
+a different caller:
 
 * :meth:`MultiQueryEngine.run` — per-query result lists (the
   subscription/dissemination shape);
@@ -34,13 +34,15 @@ Every result mode is one group session
   sequence counter, so document order across the member queries is
   just item order.
 
-The session chooses its runtimes once, when it opens.  ``run()`` runs
-the *kernel group* when every member lowered to a generated kernel
-against one shared :class:`~repro.xsq.fastpath.TagTable`: each parser
-batch is partitioned by tag-id route and every member runs its
-sub-batch in one kernel call.  Batch partitioning loses the order
-*between* members, so the modes that promise it (incremental pairs, the
-merged union) always run the interpreted group.
+The session chooses its runtimes once, when it opens.  ``run()`` (and
+the serve broker) open the *mixed group*
+(:class:`~repro.xsq.push.MixedGroupHandle`): every member that lowers
+to a generated kernel against the group's one shared
+:class:`~repro.xsq.fastpath.TagTable` runs it on its route-partitioned
+sub-batch of each parser batch, and the rest run XSQ-F's matcher, all
+fed from one parse.  Batch partitioning loses the order *between*
+members, so the modes that promise it (incremental pairs, the merged
+union) run the interpreted group (:class:`~repro.xsq.push.MultiPushHandle`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.xpath.ast import Query
 from repro.xsq.compile_cache import compile_hpdt
 from repro.xsq.dispatch import DispatchIndex
 from repro.xsq.engine import RunStats
-from repro.xsq.fastpath import TagTable, compile_fastplan
+from repro.xsq.fastpath import FastPlan, TagTable, compile_fastplan
 from repro.xsq.hpdt import Hpdt
 
 
@@ -91,10 +93,8 @@ class MultiQueryEngine:
         self.queries: List[Query] = [h.query for h in self.hpdts]
         self.index: Optional[DispatchIndex] = (
             DispatchIndex(self.hpdts) if shared_dispatch else None)
-        # Whole-group fast path: when every member lowers to a FastPlan
-        # against one shared TagTable (and nothing demands per-event
-        # instrumentation), run()'s session runs the kernel group
-        # instead of the interpreted matchers.
+        # Per-member lowering for the mixed group run() opens; None
+        # when obs or the dense loop pins the whole group interpreted.
         self._fast = self._try_fastplans()
         self.last_stats: Optional[List[RunStats]] = None
         if obs is not None and self.index is not None:
@@ -128,23 +128,22 @@ class MultiQueryEngine:
         return RunStats.merged(self.last_stats)
 
     def _try_fastplans(self):
-        """Lower every member for the grouped fast path, or None.
+        """Lower each member for the mixed group, or None.
 
-        All members must share one :class:`TagTable` so the dispatch
-        index's id routes agree with every plan's transition-row keys;
-        a single unsupported member (closure, not()/or(), path
-        predicate) keeps the whole group interpreted — mixing runtimes
-        would reorder nothing but complicate the invariants for no
-        measured win on real workloads, where grouped queries are
-        structurally alike.  Per-member outcomes (fallback slugs,
-        kernel notes) are recorded on :attr:`member_fallbacks` /
-        :attr:`member_kernel_notes` either way, so ``explain()`` can
-        show *which* member kept the group interpreted.
+        Every member is lowered separately against one shared
+        :class:`TagTable`, so the dispatch index's id routes agree with
+        every plan's transition-row keys; a member outside the fast-path
+        class (closure, not()/or(), path predicate) gets ``None`` and
+        runs interpreted beside the kernels.  Returns ``(tags, plans,
+        routes, default)``, where each route splits the members an
+        event's tag id reaches into ``(kernel members, interpreted
+        members)``.  Per-member outcomes (fallback slugs, kernel notes)
+        land on :attr:`member_fallbacks` / :attr:`member_kernel_notes`
+        for ``explain()``.
         """
-        self.member_fallbacks: List[Optional[str]] = \
-            [None] * len(self.hpdts)
-        self.member_kernel_notes: List[Optional[str]] = \
-            [None] * len(self.hpdts)
+        count = len(self.hpdts)
+        self.member_fallbacks: List[Optional[str]] = [None] * count
+        self.member_kernel_notes: List[Optional[str]] = [None] * count
         self.fast_group_note: Optional[str] = None
         if self.obs is not None:
             self.fast_group_note = ("per-event observability needs the "
@@ -154,62 +153,72 @@ class MultiQueryEngine:
             self.fast_group_note = ("shared_dispatch=False pins the "
                                     "interpreted dense loop")
             return None
+        from repro.xsq.codegen import compile_kernel
         tags = TagTable()
-        plans = []
-        supported = True
+        plans: List[Optional[FastPlan]] = []
         for i, hpdt in enumerate(self.hpdts):
             try:
-                plans.append(compile_fastplan(hpdt, tags))
+                plan = compile_fastplan(hpdt, tags)
             except FastPathUnsupportedError as exc:
                 self.member_fallbacks[i] = exc.reason
-                supported = False
-        if not supported:
-            bad = sum(1 for slug in self.member_fallbacks
-                      if slug is not None)
-            self.fast_group_note = (
-                "%d member(s) outside the fast-path class keep the "
-                "group interpreted" % bad)
-            return None
-        from repro.xsq.codegen import compile_kernel
-        self.member_kernel_notes = [compile_kernel(plan)[1]
-                                    for plan in plans]
+                plans.append(None)
+                continue
+            self.member_kernel_notes[i] = compile_kernel(plan)[1]
+            plans.append(plan)
+
+        def split(members):
+            return (tuple(i for i in members if plans[i] is not None),
+                    tuple(i for i in members if plans[i] is None))
+
         routes, default = self.index.id_routes(tags)
-        return tags, plans, routes, default
+        return (tags, plans,
+                {tid: split(members) for tid, members in routes.items()},
+                split(default))
+
+    @property
+    def member_runtimes(self) -> List[str]:
+        """The runtime each member runs in ``run()``'s session (and the
+        serve broker's): ``kernel`` or ``xsq-f``."""
+        if self._fast is None:
+            return ["xsq-f"] * len(self.hpdts)
+        return ["kernel" if plan is not None else "xsq-f"
+                for plan in self._fast[1]]
 
     def member_selection_notes(self) -> List[str]:
         """One engine-selection line per member query, for explain()."""
         notes = []
-        for i, query in enumerate(self.queries):
-            if self._fast is not None:
-                kernel_note = self.member_kernel_notes[i]
-                notes.append("member %d: %s — kernel group for run() (%s)"
-                             % (i, query.text, kernel_note))
+        for i, (query, runtime) in enumerate(zip(self.queries,
+                                                 self.member_runtimes)):
+            if runtime == "kernel":
+                why = self.member_kernel_notes[i]
             elif self.member_fallbacks[i] is not None:
-                notes.append(
-                    "member %d: %s — fast path not selected: %s"
-                    % (i, query.text, self.member_fallbacks[i]))
+                why = "fast path not selected: %s" % self.member_fallbacks[i]
             else:
-                notes.append(
-                    "member %d: %s — fast-capable; interpreted because "
-                    "%s" % (i, query.text, self.fast_group_note))
+                why = self.fast_group_note
+            notes.append("member %d: %s — %s (%s)"
+                         % (i, query.text, runtime, why))
         return notes
 
     # -- execution ----------------------------------------------------------
     #
-    # Every mode is a group session (repro.xsq.push.MultiPushHandle);
-    # the session picks the kernel or the interpreted group when it
-    # opens.
+    # Every mode is a group session (repro.xsq.push): the interpreted
+    # group where cross-member order is promised, the mixed group where
+    # it is not.
 
     def run(self, source, sinks=None) -> List[List[str]]:
         """Per-query results from a single pass over ``source``.
 
         ``sinks`` optionally supplies one collector per query (anything
         with ``append``), mirroring the single-query engines' ``sink=``;
-        results stream into them during the pass.  When every member
-        lowered to a kernel, the pass runs the kernel group.
+        results stream into them during the pass, which runs the mixed
+        group (kernel-capable members on their kernels) unless obs or
+        the dense loop pins the whole group interpreted.
         """
-        from repro.xsq.push import MultiPushHandle
-        session = MultiPushHandle(self, sinks=sinks, drain=False)
+        from repro.xsq.push import MixedGroupHandle, MultiPushHandle
+        if self._fast is not None:
+            session = MixedGroupHandle(self, sinks=sinks, drain=False)
+        else:
+            session = MultiPushHandle(self, sinks=sinks, drain=False)
         return session.feed_source(source, queries=len(self.queries))
 
     def iter_results(self, source) -> Iterator[Tuple[int, object]]:

@@ -19,9 +19,12 @@ by a different caller:
 There is one session per runtime kind: :class:`EventPushHandle`
 (interpreted single query, fed events), :class:`FastPushHandle`
 (generated kernel, fed batches), :class:`MultiPushHandle` (a query
-group) and :class:`NullPushHandle` (the empty query).  Concatenating
-every feed's results plus ``finish()`` equals ``run()``, for any split
-(the chunk-split differential suite proves it byte-for-byte).
+group, interpreted, in stream order across members),
+:class:`MixedGroupHandle` (a query group with kernel and interpreted
+members, in document order per member) and :class:`NullPushHandle`
+(the empty query).  Concatenating every feed's results plus
+``finish()`` equals ``run()``, for any split (the chunk-split
+differential suite proves it byte-for-byte).
 Aggregates surface their final value at ``finish()``; with
 ``streaming_agg=True`` each feed also returns the intermediate values
 the paper's ``stat.update`` emits for unbounded streams.
@@ -36,10 +39,11 @@ feeding a closed session raises :class:`StreamError`, and ``finish()``
 is idempotent.
 
 Every session carries a ``latency`` slot (default ``None``) for an
-optional :class:`repro.obs.latency.LatencyRecorder`: when attached (the
-serve pipeline does this per stream), each feed call stamps entry and
-emission timestamps onto per-result provenance records.  Detached, the
-cost is one attribute load and a ``None`` test per feed call.
+optional :class:`repro.obs.latency.LatencyRecorder`: when attached, each
+feed call of a push handle stamps entry and emission timestamps onto
+per-result provenance records (the serve broker stamps its mixed
+group's results itself, after fan-out).  Detached, the cost is one
+attribute load and a ``None`` test per feed call.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ import time
 from typing import List, Tuple
 
 from repro.errors import StreamError, UnsupportedFeatureError
-from repro.streaming.events import BEGIN, END, TEXT
+from repro.streaming.events import (BEGIN, END, TEXT, BeginEvent,
+                                     EndEvent, TextEvent)
 from repro.streaming.source import coerce_source
 from repro.xpath.ast import AggregateOutput
 from repro.xsq.aggregates import StatBuffer
@@ -345,76 +350,96 @@ class FastPushHandle(_QuerySession):
         return self.feed_batch(batch)
 
 
-class MultiPushHandle(_Session):
-    """Session over every member of a
-    :class:`~repro.xsq.multiquery.MultiQueryEngine`.
+class _GroupSession(_Session):
+    """What both query-group sessions share: one sink and one optional
+    :class:`StatBuffer` per member, and the end of the document.
 
-    Three result shapes:
-
-    * default — every feed returns ``(query_index, value)`` pairs as
-      they are determined, interleaved in stream order; aggregate
-      members surface their final value at ``finish()``;
-    * ``merged=True`` — the union: feeds return nothing and ``finish()``
-      returns the document-order merged value list (document order
-      across members is only known at end of stream);
-    * ``drain=False`` — ``run()``'s session: results stay in ``sinks``
-      and ``finish()`` returns the per-query result lists.
-
-    The session picks its runtimes once, here.  A non-draining,
-    non-merged session over a group whose members all lowered to
-    kernels runs the kernel group: each parser batch is partitioned by
-    tag-id route and every member runs its sub-batch in one kernel call
-    (:meth:`feed_batch`).  Everything else runs the interpreted group
-    (:meth:`feed_events`), which alone keeps cross-query stream order
-    and, through a shared sequence counter, document order for the
-    union.
+    ``drain=False`` is ``run()``'s shape: results stay in the sinks and
+    ``finish()`` returns the per-query result lists.  Otherwise feeds
+    return ``(query_index, value)`` pairs and aggregate members surface
+    their final value at ``finish()``.
     """
 
-    def __init__(self, engine, merged: bool = False, sinks=None,
-                 drain: bool = True):
+    def __init__(self, engine, sinks, drain: bool):
         super().__init__(engine)
         queries = engine.queries
-        if merged:
-            for query in queries:
-                if isinstance(query.output, AggregateOutput):
-                    raise UnsupportedFeatureError(
-                        "merged union cannot include aggregate query %r"
-                        % (query.text,))
         if sinks is None:
             sinks = [[] for _ in queries]
         elif len(sinks) != len(queries):
             raise ValueError("expected %d sinks, got %d"
                              % (len(queries), len(sinks)))
-        self._merged = merged
-        self._drains = drain and not merged
-        self._returns_lists = not drain and not merged
         self._sinks = sinks
+        self._drains = drain
         self._stats = [StatBuffer(query.output.name)
                        if isinstance(query.output, AggregateOutput)
                        else None for query in queries]
-        if self._returns_lists and engine._fast is not None:
-            self._open_kernels(engine)
-        else:
-            self._open_matchers(engine)
+        self._runtimes: list = []
 
-    def _open_kernels(self, engine) -> None:
-        tags, plans, routes, default = engine._fast
-        self.feed_mode = FEED_BATCH
-        self.tags = tags
-        self._runtimes = [
-            FastRuntime(plan, hpdt, sink, stat=stat)
-            for plan, hpdt, sink, stat in zip(plans, engine.hpdts,
-                                              self._sinks, self._stats)]
-        self._queues = [runtime.queue for runtime in self._runtimes]
-        self._kernels = [runtime.run_batch for runtime in self._runtimes]
-        self._routes_get = routes.get
-        self._default = default
-        self._subs: List[list] = [[] for _ in self._runtimes]
+    def _finish(self) -> list:
+        engine = self._engine
+        count = self._count
+        for runtime in self._runtimes:
+            runtime.finish()
+        # ``events`` is the *global* stream length for every member: all
+        # queries share the single pass even when the dispatch index
+        # withheld most events from their runtimes.
+        engine.last_stats = [RunStats.of(runtime, count)
+                             for runtime in self._runtimes]
+        if engine.obs is not None:
+            for run in engine.last_stats:
+                engine.obs.record_run(engine.name, run)
+        return self._tail()
 
-    def _open_matchers(self, engine) -> None:
-        self.feed_mode = FEED_EVENTS
+    def _tail(self) -> list:
+        if not self._drains:
+            return [[stat.render()] if stat is not None else sink
+                    for sink, stat in zip(self._sinks, self._stats)]
+        out: list = []
+        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
+            if stat is not None:
+                out.append((i, stat.render()))
+            else:
+                out.extend((i, value) for value in sink)
+                del sink[:]
+        return out
+
+
+class MultiPushHandle(_GroupSession):
+    """The interpreted query group over every member of a
+    :class:`~repro.xsq.multiquery.MultiQueryEngine`, in stream order.
+
+    Every member runs XSQ-F's matcher, fed events one at a time through
+    the shared dispatch index, so results come out in the order the
+    stream determines them — across members too.  ``push()`` and
+    ``iter_results()`` promise that order, and ``run()`` uses this
+    session when an ``obs`` bundle or the dense loop pins the whole
+    group interpreted.  Three result shapes:
+
+    * default — every feed returns ``(query_index, value)`` pairs,
+      interleaved in stream order; aggregate members surface their
+      final value at ``finish()``;
+    * ``merged=True`` — the union: feeds return nothing and ``finish()``
+      returns the document-order merged value list, through a sequence
+      counter shared by every member's queue (document order across
+      members is only known at end of stream);
+    * ``drain=False`` — ``run()``'s session: results stay in ``sinks``
+      and ``finish()`` returns the per-query result lists.
+    """
+
+    feed_mode = FEED_EVENTS
+
+    def __init__(self, engine, merged: bool = False, sinks=None,
+                 drain: bool = True):
+        if merged:
+            for query in engine.queries:
+                if isinstance(query.output, AggregateOutput):
+                    raise UnsupportedFeatureError(
+                        "merged union cannot include aggregate query %r"
+                        % (query.text,))
+        super().__init__(engine, sinks, drain and not merged)
+        self._merged = merged
         obs = engine.obs
-        counter = itertools.count() if self._merged else None
+        counter = itertools.count() if merged else None
         trace = obs.events if obs is not None else None
         accounting = obs.accounting if obs is not None else None
         labels = [query.text for query in engine.queries]
@@ -428,14 +453,13 @@ class MultiPushHandle(_Session):
                 if n:
                     labels[i] = "%s #%d" % (text, n + 1)
         self._queues = []
-        self._runtimes = []
         for hpdt, sink, stat, label in zip(engine.hpdts, self._sinks,
                                            self._stats, labels):
             queue = OutputQueue(
                 sink, trace=trace,
                 seq_source=(counter.__next__ if counter is not None
                             else None),
-                track_seqs=self._merged,
+                track_seqs=merged,
                 account=(accounting.account(label, engine=engine.name)
                          if accounting is not None else None))
             self._queues.append(queue)
@@ -511,52 +535,110 @@ class MultiPushHandle(_Session):
             latency.emitted(len(out))
         return out
 
-    def feed_batch(self, batch: list) -> list:
-        """Kernel group: route each tuple to its members' sub-batches,
-        then run every non-empty sub-batch in one kernel call.  Results
-        stay in the sinks (this runtime serves ``run()`` only)."""
+    def _tail(self) -> list:
+        if not self._merged:
+            return super()._tail()
+        tagged: List[Tuple[int, str]] = []
+        for sink, queue in zip(self._sinks, self._queues):
+            tagged.extend(zip(queue.emitted_seqs, sink))
+        tagged.sort(key=lambda pair: pair[0])
+        return [value for _, value in tagged]
+
+
+class MixedGroupHandle(_GroupSession):
+    """The query group with each member on the fastest runtime it lowers
+    to, for callers that need each member's results in document order
+    but no order *between* members: ``run()`` and the serve broker.
+
+    Members that lowered to a :class:`~repro.xsq.fastpath.FastPlan`
+    (against the group's one shared :class:`~repro.xsq.fastpath.TagTable`)
+    run their generated kernels; the rest (closure, ``not()``/``or()``)
+    run XSQ-F's matcher.  Both sides are fed from one parse: each
+    batched tuple is routed once by tag id, appended to the sub-batch of
+    every kernel member that must see it, and turned into one
+    :class:`~repro.streaming.events.Event` shared by the matchers that
+    must see it.  The kernels then run their sub-batches, one call per
+    member per feed.  Each member still sees the begin/end-balanced
+    subsequence the interpreted group would give it, so its results and
+    ``RunStats`` are the same; only the interleaving across members
+    differs, which is why ``push()`` and ``iter_results()`` keep
+    :class:`MultiPushHandle`.
+
+    Opened only when no ``obs`` bundle is attached (the kernels have no
+    per-event hook points), so it carries no instruments; the broker
+    stamps delivery latency itself, after fanning results out, so the
+    feeds leave the ``latency`` slot unstamped.
+    """
+
+    feed_mode = FEED_BATCH
+
+    def __init__(self, engine, sinks=None, drain: bool = True):
+        super().__init__(engine, sinks, drain)
+        tags, plans, routes, default = engine._fast
+        self.tags = tags
+        self._names = tags.names
+        self._routes_get = routes.get
+        self._default = default
+        runtimes = self._runtimes
+        for plan, hpdt, sink, stat in zip(plans, engine.hpdts, self._sinks,
+                                          self._stats):
+            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat)
+                            if plan is None
+                            else FastRuntime(plan, hpdt, sink, stat=stat))
+        self._subs: List[list] = [[] for _ in runtimes]
+        self._kernels = [(runtime.run_batch, self._subs[i])
+                         for i, (runtime, plan)
+                         in enumerate(zip(runtimes, plans))
+                         if plan is not None]
+        # Per-kind handler tables, indexed by member; routes only ever
+        # send kernel members tuples, so their slots stay None.
+        matchers = [runtime if plan is None else None
+                    for runtime, plan in zip(runtimes, plans)]
+        self._begins = [m.on_begin if m else None for m in matchers]
+        self._texts = [m.on_text if m else None for m in matchers]
+        self._ends = [m.on_end if m else None for m in matchers]
+        self._drained = [(i, sink) for i, (sink, stat)
+                         in enumerate(zip(self._sinks, self._stats))
+                         if stat is None] if drain else []
+
+    def feed_batch(self, batch: list) -> List[Tuple[int, object]]:
+        """Feed one chunk of batched tuples; return the ``(index,
+        value)`` pairs it determined, grouped by member (empty when not
+        draining)."""
         if self.closed:
             raise StreamError(_CLOSED)
         self._count += len(batch)
         routes_get = self._routes_get
         default = self._default
         subs = self._subs
+        names = self._names
+        begins = self._begins
+        texts = self._texts
+        ends = self._ends
         for event in batch:
-            for i in routes_get(event[1], default):
+            kernels, matchers = routes_get(event[1], default)
+            for i in kernels:
                 subs[i].append(event)
-        for run_batch, sub in zip(self._kernels, subs):
+            if matchers:
+                kind = event[0]
+                if kind == BEGIN:
+                    shared = BeginEvent(names[event[1]], event[2], event[3])
+                    table = begins
+                elif kind == END:
+                    shared = EndEvent(names[event[1]], event[3])
+                    table = ends
+                else:
+                    shared = TextEvent(names[event[1]], event[2], event[3])
+                    table = texts
+                for i in matchers:
+                    table[i](shared)
+        for run_batch, sub in self._kernels:
             if sub:
                 run_batch(sub)
                 del sub[:]
-        return []
-
-    def _finish(self) -> list:
-        engine = self._engine
-        count = self._count
-        for runtime in self._runtimes:
-            runtime.finish()
-        # ``events`` is the *global* stream length for every member: all
-        # queries share the single pass even when the dispatch index
-        # withheld most events from their runtimes.
-        engine.last_stats = [RunStats.of(runtime, count)
-                             for runtime in self._runtimes]
-        if engine.obs is not None:
-            for run in engine.last_stats:
-                engine.obs.record_run(engine.name, run)
-        if self._merged:
-            tagged: List[Tuple[int, str]] = []
-            for sink, queue in zip(self._sinks, self._queues):
-                tagged.extend(zip(queue.emitted_seqs, sink))
-            tagged.sort(key=lambda pair: pair[0])
-            return [value for _, value in tagged]
-        if self._returns_lists:
-            return [[stat.render()] if stat is not None else sink
-                    for sink, stat in zip(self._sinks, self._stats)]
         out: list = []
-        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
-            if stat is not None:
-                out.append((i, stat.render()))
-            else:
+        for i, sink in self._drained:
+            if sink:
                 out.extend((i, value) for value in sink)
                 del sink[:]
         return out

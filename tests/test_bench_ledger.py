@@ -93,6 +93,16 @@ class TestDirectionAndFlatten:
         # Counts are identity, not perf metrics.
         assert ("subs1@20docs", "results") not in rows
 
+    def test_flatten_distinct_latency_cell_has_its_own_key(self):
+        artifact = latency_artifact()
+        artifact["workloads"].append(
+            {"subscribers": 10, "distinct_queries": 10, "documents": 20,
+             "delivery_p50_seconds": 0.0021})
+        rows = flatten(artifact)
+        assert rows[("subs10@20docs", "delivery_p50_seconds")] == 0.0009
+        assert rows[("subs10-distinct@20docs",
+                     "delivery_p50_seconds")] == 0.0021
+
     def test_flatten_throughput_keys(self):
         rows = flatten(throughput_artifact())
         assert rows[("shake@1000000", "fast.seconds")] == 0.10

@@ -187,7 +187,9 @@ class TestBrokerIntegration:
         broker, stream, _, _ = self.run_document(obs)
         assert broker.delivery is obs.delivery
         assert isinstance(stream._latency, LatencyRecorder)
-        assert stream._handle.latency is stream._latency
+        # The stream stamps emission itself, after fan-out; the group
+        # session carries no recorder.
+        assert stream._handle.latency is None
 
     def test_timings_labelled_with_owning_subscription(self):
         obs = Observability(spans=False, events=False)
@@ -202,6 +204,32 @@ class TestBrokerIntegration:
             assert timing.feed is not None
             assert timing.batch is not None
             assert timing.emit is not None
+            assert timing.feed <= timing.batch <= timing.emit
+
+    def test_shared_query_gets_one_timing_per_delivered_result(self):
+        # Two tenants hold the same query: the broker evaluates it once
+        # and fans each result out, so every delivered pair needs its
+        # own record, labelled with its own subscription and tenant.
+        obs = Observability(spans=False, events=False)
+        broker = SubscriptionBroker(obs=obs)
+        alice = broker.subscribe("/pub/book/name/text()", tenant="alice")
+        bob = broker.subscribe("/pub/book/name/text()", tenant="bob")
+        stream = broker.open_stream(tenant="carol")
+        out = []
+        timings = []
+        for chunk in chunked(DOC):
+            out += stream.feed(chunk)
+            timings += stream.take_timings()
+        out += stream.finish()
+        timings += stream.take_timings()
+        assert sorted(out) == sorted([(alice, "First"), (bob, "First"),
+                                      (alice, "Second"), (bob, "Second")])
+        assert len(timings) == len(out)
+        assert [t.sub for t in timings] == [sid for sid, _ in out]
+        tenant_of = {alice: "alice", bob: "bob"}
+        assert all(t.tenant == tenant_of[t.sub] for t in timings)
+        assert len({id(t) for t in timings}) == len(timings)
+        for timing in timings:
             assert timing.feed <= timing.batch <= timing.emit
 
     def test_no_obs_leaves_stamping_detached(self):
