@@ -51,14 +51,15 @@ class FastPathUnsupportedError(UnsupportedFeatureError):
     """The compiled fast path cannot run this query or configuration.
 
     Raised by :class:`repro.xsq.fastpath.XSQEngineFast` at construction.
-    ``reason`` is a short stable slug (``closure-axis``,
-    ``not-predicate``, ``or-predicate``, ``path-predicate``,
-    ``observability``, ``union``) naming the *first* unsupported
-    feature; ``engine="auto"`` catches this error,
+    ``reason`` is a short stable slug (``closure-predicate``,
+    ``closure-element-output``, ``not-predicate``, ``or-predicate``,
+    ``path-predicate``, ``observability``, ``union``) naming the
+    *first* unsupported feature; ``engine="auto"`` catches this error,
     falls back to an interpreted runtime, and surfaces the slug in
     ``.explain()`` and the ``repro_fastpath_fallback_total`` metric.
-    (``element-output`` was a slug through PR 8; element results now
-    run on the fast path, so it can no longer be raised.)
+    (``element-output`` and ``closure-axis`` were slugs of earlier
+    versions; element results and predicate-free closures now run on
+    the fast path, so neither can be raised any more.)
     """
 
     def __init__(self, message, reason="unsupported"):

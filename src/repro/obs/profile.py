@@ -248,7 +248,7 @@ class Profiler:
         state, hot tag, buffer/output split — runs only on every
         ``sample_interval``-th batch, via single-tuple kernel calls
         that are semantically identical to the batched form
-        (``matched``/``inst_stack`` carry across calls); the queue
+        (the automaton state carries across calls); the queue
         proxy is installed for the sampled window only, so buffer and
         output seconds are sampled at the same rate as states.
         Unsampled batches run the unchanged kernel, which keeps
@@ -275,7 +275,7 @@ class Profiler:
                 runtime.queue = _ProfiledQueue(inner, self)
                 try:
                     for event in batch:
-                        m = runtime.matched
+                        m = runtime.profile_state()
                         t0 = clock()
                         kernel((event,))
                         dt = clock() - t0

@@ -15,8 +15,10 @@ independent of any transport:
   of distinct texts changed: a duplicate's subscribe or unsubscribe,
   or a churn that re-registers the same text, rebuilds just the
   fan-out table.  Members run on the fastest runtime they lower to
-  (generated kernels for child-axis queries, XSQ-F's matcher for the
-  rest), all fed from one parse per chunk.
+  (generated kernels for child-axis queries and predicate-free closure
+  queries, XSQ-F's matcher for closures with predicates or element
+  output and for ``not()``/``or()``/path predicates), all fed from
+  one parse per chunk.
 * **incremental documents** — :meth:`open_stream` starts one document;
   the returned :class:`BrokerStream` accepts raw chunks (``feed``) and
   returns ``(subscription_id, value)`` results the moment the paper's
@@ -303,7 +305,8 @@ class BrokerStream:
 
     def _route(self, pairs) -> List[Tuple[str, str]]:
         """Fan each member result out to every subscription that owns
-        the member's query; count results per delivered pair."""
+        the member's query; count results per delivered pair (and per
+        owning tenant, when an obs bundle takes the tally)."""
         if not pairs:
             return []
         fanout = self._fanout
@@ -313,19 +316,24 @@ class BrokerStream:
             owners = fanout[index]
             out.extend((sid, value) for sid in owners)
             per_member[index] = per_member.get(index, 0) + 1
-        subs = self._broker._subs
-        per_tenant: Dict[str, int] = {}
+        broker = self._broker
+        subs = broker._subs
+        per_tenant: Optional[Dict[str, int]] = (
+            {} if broker.obs is not None else None)
         for index, n in per_member.items():
             for sid in fanout[index]:
                 sub = subs.get(sid)
                 if sub is not None:
                     sub.results += n
-                    per_tenant[sub.tenant] = per_tenant.get(sub.tenant, 0) + n
-        for tenant, n in per_tenant.items():
-            self._broker._count(
-                "repro_serve_results_total",
-                "subscription results delivered, by owning tenant",
-                tenant, n)
+                    if per_tenant is not None:
+                        per_tenant[sub.tenant] = \
+                            per_tenant.get(sub.tenant, 0) + n
+        if per_tenant:
+            for tenant, n in per_tenant.items():
+                broker._count(
+                    "repro_serve_results_total",
+                    "subscription results delivered, by owning tenant",
+                    tenant, n)
         return out
 
     def _stamp(self, routed: List[Tuple[str, str]]) -> None:

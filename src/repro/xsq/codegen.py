@@ -8,7 +8,7 @@ buffering unrolled.  It is compiled once with ``compile()``/``exec``
 and memoized on the plan (``plan.kernel``), so it rides the
 process-wide HPDT compile cache exactly like the tables.
 
-Three specializations are selected automatically:
+Four shapes are selected automatically:
 
 * **linear chains** (no predicates, no wildcard steps): the whole
   per-state dispatch collapses to one comparison against an expected-tag
@@ -26,6 +26,15 @@ Three specializations are selected automatically:
   index sets written out as literals, states emitted deepest-first
   (that is where documents spend their events), and predicate-free
   states sharing one pre-resolved instance instead of allocating.
+* **closure stacks** (a :class:`~repro.xsq.fastpath.ClosurePlan`: a
+  predicate-free path with ``//`` steps): the kernel walks the plan's
+  lazily built DFA over a stack of ``(depth, state, live)`` triples,
+  one per open element that matched a step.  A begin event is one dict
+  hit and a push, an end event a pop, a text event one test for the
+  final state; a missing transition is filled once on the plan.
+  Nothing is buffered, so results go straight to the sink.  The source
+  depends only on the output kind and the wildcard flag, so plans of
+  one shape share one compiled function.
 
 Every plan gets a kernel, however deep the path or wide a transition
 row: state and tag dispatch are emitted as *flat* ``if ...: ...;
@@ -45,9 +54,10 @@ on the function (``fn.__xsq_source__``) for inspection and tests.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.streaming.serialize import begin_tag, escape_text
+from repro.xsq.fastpath import UNFILLED, ClosurePlan
 from repro.xsq.matcher import Chain, PredicateInstance
 
 
@@ -62,15 +72,41 @@ def compile_kernel(plan) -> Tuple[Callable, str]:
     cached = plan.kernel
     if cached is not None:
         return cached
-    source, namespace, flavor = _generate(plan)
-    code = compile(source, "<xsq-kernel %s>" % plan.query.text, "exec")
+    if isinstance(plan, ClosurePlan):
+        fn = _closure_kernel(plan)
+        note = ("generated kernel: %d-step path, %d lines, closure stack "
+                "(lazy DFA)" % (plan.n, fn.__xsq_source__.count("\n")))
+    else:
+        source, namespace, flavor = _generate(plan)
+        fn = _build(source, namespace, plan.query.text)
+        note = ("generated kernel: %d states, %d lines, %s"
+                % (plan.n + 1, source.count("\n"), flavor))
+    plan.kernel = (fn, note)
+    return plan.kernel
+
+
+def _build(source: str, namespace: dict, label: str) -> Callable:
+    code = compile(source, "<xsq-kernel %s>" % label, "exec")
     exec(code, namespace)
     fn = namespace["__xsq_kernel__"]
     fn.__xsq_source__ = source
-    note = ("generated kernel: %d states, %d lines, %s"
-            % (plan.n + 1, source.count("\n"), flavor))
-    plan.kernel = (fn, note)
-    return plan.kernel
+    return fn
+
+
+#: Closure kernels by shape.  Their source depends only on the output
+#: kind and on whether the path has a wildcard step (the automaton
+#: lives on the plan), so every plan of one shape shares one function.
+_CLOSURE_KERNELS: Dict[Tuple[str, bool], Callable] = {}
+
+
+def _closure_kernel(plan) -> Callable:
+    key = (plan.out_kind, plan.wildcard)
+    fn = _CLOSURE_KERNELS.get(key)
+    if fn is None:
+        fn = _build(_closure_source(*key), {"UNFILLED": UNFILLED},
+                    "closure %s%s" % (key[0], " wildcard" if key[1] else ""))
+        fn = _CLOSURE_KERNELS.setdefault(key, fn)
+    return fn
 
 
 def kernel_source(plan) -> str:
@@ -244,6 +280,90 @@ def _generate(plan):
     if element:
         flavor += ", element capture"
     return e.source(), e.namespace, flavor
+
+
+def _closure_source(out_kind: str, wildcard: bool) -> str:
+    """The closure-stack kernel over a :class:`ClosurePlan`'s lazy DFA.
+
+    ``stack`` holds one ``(depth, state, live)`` triple per open element
+    that matched a step; the top is kept in locals.  A begin event is
+    one row lookup (the child row when its depth is the top's + 1, the
+    closure row otherwise) and, if the element matches a step, a push;
+    an end event at the top's depth is a pop; a text event is one test
+    for the final state.  A missing transition goes to ``plan.fill``
+    once.  Nothing is ever buffered: results go straight to the sink
+    (or the aggregate), counted in ``self.results``.
+    """
+    e = _Emitter()
+    w = e.w
+    w(0, "def __xsq_kernel__(self, batch):")
+    w(1, "stack = self.stack")
+    w(1, "push = stack.append")
+    w(1, "pop = stack.pop")
+    w(1, "top_depth, top, live = stack[-1]")
+    w(1, "peak = self.peak_instances")
+    w(1, "nres = self.results")
+    w(1, "fill = self.plan.fill")
+    w(1, "unfilled = UNFILLED")
+    if out_kind in ("text", "attr"):
+        w(1, "append = self.sink.append")
+    else:
+        w(1, "update = self.stat.update")
+    if out_kind == "attr":
+        w(1, "attr = self.plan.out_attr")
+    w(1, "for event in batch:")
+    w(2, "kind = event[0]")
+    w(2, "if kind == 0:")
+    w(3, "depth = event[3]")
+    for test, row, other, child in (
+            ("if depth == top_depth + 1:", 0, 2, True),
+            ("else:", 1, 3, False)):
+        w(3, test)
+        # Without a wildcard step every unnamed tag matches nothing, so
+        # a row miss needs no "other" default.
+        default = ", top[%d]" % other if wildcard else ""
+        w(4, "nxt = top[%d].get(event[1]%s)" % (row, default))
+        w(4, "if nxt is None:")
+        w(5, "continue")
+        w(4, "if nxt is unfilled:")
+        w(5, "nxt = fill(top, %s, event[1])" % child)
+        w(5, "if nxt is None:")
+        w(6, "continue")
+    w(3, "top = nxt")
+    w(3, "top_depth = depth")
+    w(3, "live += top[4]")
+    w(3, "if live > peak:")
+    w(4, "peak = live")
+    w(3, "push((depth, top, live))")
+    if out_kind == "count":
+        w(3, "if top[5]:")
+        w(4, "update(1.0)")
+        w(4, "nres += 1")
+    elif out_kind == "attr":
+        w(3, "if top[5]:")
+        w(4, "value = event[2].get(attr)")
+        w(4, "if value is not None:")
+        w(5, "append(value)")
+        w(5, "nres += 1")
+    w(2, "elif kind == 2:")
+    w(3, "if event[3] == top_depth:")
+    w(4, "pop()")
+    w(4, "top_depth, top, live = stack[-1]")
+    if out_kind == "text":
+        w(2, "elif event[3] == top_depth and top[5]:")
+        w(3, "append(event[2])")
+        w(3, "nres += 1")
+    elif out_kind == "agg":
+        w(2, "elif event[3] == top_depth and top[5]:")
+        w(3, "try:")
+        w(4, "fval = float(event[2].strip())")
+        w(3, "except ValueError:")
+        w(4, "continue")
+        w(3, "update(fval)")
+        w(3, "nres += 1")
+    w(1, "self.peak_instances = peak")
+    w(1, "self.results = nres")
+    return e.source()
 
 
 def _linear_expect(plan) -> Optional[tuple]:

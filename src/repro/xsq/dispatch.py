@@ -25,6 +25,10 @@ can only *propagate* closure contexts unchanged, never consume them, so
 the runtime reconstructs the propagation lazily when the next relevant
 event arrives (see ``MatcherRuntime`` sparse-mode handling — skipped
 subtrees collapse to the idempotent "descendant survivors" filter).
+The closure kernels of :class:`~repro.xsq.fastpath.ClosurePlan` rely on
+the same fact: a skipped element matches no step, so comparing depths
+with the nearest element they were fed tells a child from a deeper
+descendant.
 
 Routing is resolved once at registration: ``routes[tag]`` is the merged
 (bucket ∪ greedy) tuple of query indices, and ``default`` (the greedy

@@ -3,10 +3,11 @@
 The interpreted runtimes pay per-event Python overhead the paper's
 C/Java systems never would: ``isinstance``-chained predicate dispatch,
 string tag comparison, per-element object allocation.  For the query
-class where the HPDT is *deterministic* — child-axis-only paths, the
-paper's plain predicate categories 1–5 — all of that work is a function
-of the query alone, so this module freezes it at compile time, the way
-Koch et al. freeze their stream schedule:
+classes whose automaton is *deterministic* — child-axis-only paths with
+the paper's plain predicate categories 1–5, and closure paths without
+predicates once determinized — all of that work is a function of the
+query alone, so this module freezes it at compile time, the way Koch
+et al. freeze their stream schedule:
 
 * **Tag interning** (:class:`TagTable`): every distinct tag name maps to
   a small int once, at the parser boundary; the runtime then routes on
@@ -21,6 +22,12 @@ Koch et al. freeze their stream schedule:
   every predicate lowered to a precompiled closure (no ``isinstance``,
   no attribute walks).  Text and child-text deciding events get the
   same treatment.
+* **Closure plans** (:class:`ClosurePlan`): a predicate-free path with
+  ``//`` steps (text, ``@attr`` or aggregate output) needs no
+  buffering, so its automaton is determinized lazily: one DFA state
+  per open matched element, transitions filled on first use under a
+  lock and bounded by ``states × (alphabet + 1) × 2`` however many
+  tags the stream carries.
 * **Generated kernels** (:mod:`repro.xsq.codegen`): every plan is
   lowered to a single closure-free dispatch function with the states
   and tag ids baked in as constants, memoized on the plan
@@ -46,11 +53,13 @@ reuses :class:`~repro.xsq.matcher.PredicateInstance`,
 :class:`~repro.xsq.buffers.OutputQueue` unchanged, so results, document
 order and the buffer-operation counters (RunStats) are byte-for-byte
 the same, which ``tests/test_fastpath_equivalence.py`` proves
-differentially.  Queries outside the supported class (closure axis,
-``not()``/``or()``, nested-path predicates) raise
-:class:`~repro.errors.FastPathUnsupportedError` naming the first
-unsupported feature; ``engine="auto"`` catches it and falls back to an
-interpreted runtime with the reason surfaced in ``.explain()``.
+differentially (``tests/test_closure_kernels.py`` for closure plans,
+against XSQ-F).  Queries outside the supported classes (closures with
+predicates or element output, ``not()``/``or()``, nested-path
+predicates) raise :class:`~repro.errors.FastPathUnsupportedError`
+naming the first unsupported feature; ``engine="auto"`` catches it and
+falls back to an interpreted runtime with the reason surfaced in
+``.explain()``.
 """
 
 from __future__ import annotations
@@ -132,14 +141,13 @@ def unsupported_reason(query: Query) -> Optional[Tuple[str, str]]:
 
     Returns ``(slug, message)`` for the *first* unsupported feature in
     query order (steps left to right, predicates in order, output
-    last), which is what ``.explain()`` reports after a fallback.
+    last), which is what ``.explain()`` reports after a fallback.  A
+    query with a closure axis lowers only without predicates and
+    without element output (:class:`ClosurePlan`).
     """
+    closure = any(step.axis is Axis.DESCENDANT for step in query.steps)
     for index, step in enumerate(query.steps):
         where = "step %d (%s)" % (index + 1, step.node_test)
-        if step.axis is Axis.DESCENDANT:
-            return ("closure-axis",
-                    "closure axis // at %s needs the nondeterministic "
-                    "runtime" % where)
         for predicate in step.predicates:
             if isinstance(predicate, NotPredicate):
                 return ("not-predicate",
@@ -150,6 +158,14 @@ def unsupported_reason(query: Query) -> Optional[Tuple[str, str]]:
             if isinstance(predicate, PathPredicate):
                 return ("path-predicate",
                         "nested path predicate at %s" % where)
+            if closure:
+                return ("closure-predicate",
+                        "predicate at %s of a query with a closure axis "
+                        "// needs the nondeterministic runtime" % where)
+    if closure and isinstance(query.output, ElementOutput):
+        return ("closure-element-output",
+                "element output of a query with a closure axis // needs "
+                "the nondeterministic runtime")
     return None
 
 
@@ -243,6 +259,20 @@ def _compile_match(step):
                 return False
         return _const
     return prog, const, tuple(undecided)
+
+
+def _output_kind(query: Query) -> Tuple[str, Optional[str]]:
+    """``(out_kind, out_attr)``: how a plan's result sites produce
+    values (text, attr, count, agg or element)."""
+    output = query.output
+    if isinstance(output, TextOutput):
+        return "text", None
+    if isinstance(output, AttrOutput):
+        return "attr", output.attr
+    if isinstance(output, AggregateOutput):
+        return ("count" if output.name == "count" else "agg"), None
+    assert isinstance(output, ElementOutput)
+    return "element", None
 
 
 class FastPlan:
@@ -414,18 +444,7 @@ class FastPlan:
                 bits.append("eager resolution on %d predicate(s)" % gated)
             self.schema_note = "schema: " + ", ".join(bits)
 
-        output = query.output
-        self.out_attr: Optional[str] = None
-        if isinstance(output, TextOutput):
-            self.out_kind = "text"
-        elif isinstance(output, AttrOutput):
-            self.out_kind = "attr"
-            self.out_attr = output.attr
-        elif isinstance(output, AggregateOutput):
-            self.out_kind = "count" if output.name == "count" else "agg"
-        else:
-            assert isinstance(output, ElementOutput)
-            self.out_kind = "element"
+        self.out_kind, self.out_attr = _output_kind(query)
 
     def describe(self) -> str:
         """Table-shape summary for ``.explain()``."""
@@ -437,6 +456,157 @@ class FastPlan:
                 "%d begin-row entries (%d watch hooks), output=%s"
                 % (self.n + 1, len(self.tags), rows, watches,
                    self.out_kind))
+
+
+class _Unfilled:
+    """Marks a DFA transition no document has needed yet."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "UNFILLED"
+
+
+#: A transition-row entry the kernel fills on first use.
+UNFILLED = _Unfilled()
+
+
+class ClosurePlan(FastPlan):
+    """A predicate-free path with closure steps, determinized lazily.
+
+    The paper runs ``//`` on XSQ-F's nondeterministic HPDT: one matcher
+    instance per (element, step) binding, every result through the
+    buffer queue.  Without predicates nothing needs buffering, and the
+    automaton determinizes by lazy subset construction (Green et al.,
+    "Processing XML Streams with Deterministic Automata").  A DFA state
+    stands for two sets of matched-step counts at one open element:
+
+    ``here``
+        the counts ``k`` such that steps ``1..k`` match a path ending
+        at this element (``{0}`` for the document root);
+    ``down``
+        the counts a ``//`` step passes down to descendants: every
+        ``k < n`` reached here or at an ancestor whose step ``k+1`` is
+        a closure.
+
+    A begin event's successor depends on its parent's state, on whether
+    it is that parent's child (depth is parent + 1) and on its tag: a
+    child step continues only from ``here``, a closure step from
+    ``down``.  The kernel pushes only elements that match some step and
+    compares depths with the nearest pushed ancestor: everything in
+    between matched nothing, so its successor is that ancestor's "not a
+    child" transition.  The same argument keeps the route-partitioned
+    sub-batches of a query group correct: withheld elements name no tag
+    of the query, so they match nothing either.
+
+    Transitions are filled on first use, under a lock (one plan serves
+    every session of its engine, and the serve broker feeds streams
+    from several threads).  Rows are keyed by interned tag id for the
+    query's alphabet; every other tag is one "other" symbol, stored
+    once per state and row, so the table never holds more than
+    ``states × (alphabet + 1) × 2`` entries however many distinct tags
+    the streams carry (:meth:`transition_count`,
+    :meth:`transition_bound`).
+
+    Each state is a list ``[child_row, closure_row, other_child,
+    other_closure, weight, final, id, (here, down)]``.  The rows map
+    alphabet tag ids to successor states, ``None`` when the element
+    matches no step and :data:`UNFILLED` until first use.  ``weight`` is
+    the number of steps the element matches (XSQ-F's live instances for
+    it, hence ``peak_instances``) and ``final`` says it matches the
+    whole path.
+    """
+
+    __slots__ = ("alphabet", "wildcard", "root", "states", "_index",
+                 "_lock")
+
+    def __init__(self, query: Query, tags: TagTable):
+        self.query = query
+        self.tags = tags
+        self.kernel = None
+        self.eager_gate = None
+        self.schema_no_buffer = False
+        self.schema_note = None
+        steps = query.steps
+        self.n = len(steps)
+        self.out_kind, self.out_attr = _output_kind(query)
+        #: Tag id -> name for every tag a node test names.
+        self.alphabet: Dict[int, str] = {
+            tags.intern(step.node_test): step.node_test
+            for step in steps if step.node_test != "*"}
+        self.wildcard = any(step.node_test == "*" for step in steps)
+        self.states: List[list] = []
+        self._index: Dict[Tuple[frozenset, frozenset], list] = {}
+        self._lock = threading.Lock()
+        self.root = self._state(frozenset((0,)), frozenset(
+            (0,) if steps[0].axis is Axis.DESCENDANT else ()))
+
+    def _state(self, here: frozenset, down: frozenset) -> list:
+        key = (here, down)
+        state = self._index.get(key)
+        if state is None:
+            # Without a wildcard step an unnamed tag matches no step.
+            other = UNFILLED if self.wildcard else None
+            state = [dict.fromkeys(self.alphabet, UNFILLED),
+                     dict.fromkeys(self.alphabet, UNFILLED),
+                     other, other, len(here - {0}), self.n in here,
+                     len(self.states), key]
+            self.states.append(state)
+            self._index[key] = state
+        return state
+
+    def _successor(self, state: list, child: bool,
+                   tag: Optional[str]) -> Optional[list]:
+        """The state of an element with ``tag`` (None: a tag outside
+        the alphabet) below an element in ``state``."""
+        here, down = state[7]
+        n = self.n
+        base = (here - {n}) | down if child else down
+        steps = self.query.steps
+        reached = frozenset(k + 1 for k in base
+                            if steps[k].node_test in ("*", tag))
+        if not reached:
+            return None
+        passed = frozenset(k for k in base | reached
+                           if k < n and steps[k].axis is Axis.DESCENDANT)
+        return self._state(reached, passed)
+
+    def fill(self, state: list, child: bool, tid: int) -> Optional[list]:
+        """Compute, store and return one transition (the kernel's slow
+        path, taken once per entry)."""
+        tag = self.alphabet.get(tid)
+        with self._lock:
+            if tag is None:
+                slot = 2 if child else 3
+                target = state[slot]
+                if target is UNFILLED:
+                    target = state[slot] = self._successor(state, child,
+                                                           None)
+            else:
+                row = state[0] if child else state[1]
+                target = row[tid]
+                if target is UNFILLED:
+                    target = row[tid] = self._successor(state, child, tag)
+        return target
+
+    def transition_count(self) -> int:
+        """Transitions stored so far (filled entries, all states)."""
+        with self._lock:
+            return sum(1 for state in self.states
+                       for entry in (*state[0].values(), *state[1].values(),
+                                     state[2], state[3])
+                       if entry is not UNFILLED)
+
+    def transition_bound(self) -> int:
+        """The table's size bound: states × (alphabet + 1) × 2."""
+        return len(self.states) * (len(self.alphabet) + 1) * 2
+
+    def describe(self) -> str:
+        return ("lazy DFA: %d steps, %d states so far, alphabet of %d "
+                "tags + other, %d of at most %d transitions filled, "
+                "output=%s" % (self.n, len(self.states), len(self.alphabet),
+                               self.transition_count(),
+                               self.transition_bound(), self.out_kind))
 
 
 def compile_fastplan(hpdt: Hpdt, tags: Optional[TagTable] = None,
@@ -462,6 +632,14 @@ def compile_fastplan(hpdt: Hpdt, tags: Optional[TagTable] = None,
     if reason is not None:
         slug, message = reason
         raise FastPathUnsupportedError(message, reason=slug)
+    if hpdt.query.has_closure:
+        # A closure plan has no rows for a schema to prune and no
+        # predicates to resolve eagerly: it ignores ``schema_info``.
+        if tags is not None:
+            return ClosurePlan(hpdt.query, tags)
+        if hpdt._fastplan is None:
+            hpdt._fastplan = ClosurePlan(hpdt.query, TagTable())
+        return hpdt._fastplan
     if tags is None:
         if schema_info is not None:
             plans = getattr(hpdt, "_schema_plans", None)
@@ -507,11 +685,23 @@ class FastRuntime:
                 "the fast path runs without per-operation instrumentation; "
                 "trace/accounting-bearing queues need an interpreted "
                 "runtime", reason="observability")
-        self.matched = 0
-        #: Preallocated instance stack: slot m holds the activation of
-        #: step m for the currently matched path (valid for m < matched).
-        self.inst_stack: List[Optional[PredicateInstance]] = [None] * plan.n
         self.peak_instances = 0
+        if isinstance(plan, ClosurePlan):
+            #: One ``(depth, state, live)`` triple per open element that
+            #: matched a step, over the document root: ``live`` counts
+            #: the matched steps of every open element down to this one.
+            self.stack = [(0, plan.root, 0)]
+            #: Results so far; nothing is buffered, so the queue's
+            #: counters are set from this at ``finish()``.
+            self.results = 0
+            self.sink = sink
+        else:
+            self.matched = 0
+            #: Preallocated instance stack: slot m holds the activation
+            #: of step m for the currently matched path (valid for
+            #: m < matched).
+            self.inst_stack: List[Optional[PredicateInstance]] = \
+                [None] * plan.n
         #: Open element capture: the serialized parts of the matched
         #: subtree (None outside a match) and its buffered item.  Kept
         #: on the runtime, not the kernel, so captures survive arbitrary
@@ -527,7 +717,23 @@ class FastRuntime:
         self.run_batch = kernel[0].__get__(self, FastRuntime)
 
     def finish(self) -> None:
+        if isinstance(self.plan, ClosurePlan):
+            # XSQ-F enqueues, flushes and emits each result of a
+            # predicate-free query at once: one item buffered at a time.
+            queue = self.queue
+            queue.enqueued_total = queue.flushed_total = \
+                queue.emitted_total = self.results
+            queue.peak_size = 1 if self.results else 0
         self.queue.finish()
+
+    def profile_state(self) -> int:
+        """The matched-step count the profiler charges the next event
+        to (for a closure plan, the deepest step the nearest matched
+        element matches, as XSQ-F reports it)."""
+        if isinstance(self.plan, ClosurePlan):
+            here, _down = self.stack[-1][1][7]
+            return max(here)
+        return self.matched
 
     def _agg_emitter(self, value: float) -> Callable[[BufferItem], None]:
         stat = self.stat
@@ -554,7 +760,7 @@ class XSQEngineFast(_QueryEngine):
 
     name = "xsq-fast"
     supports_predicates = True
-    supports_closures = False
+    supports_closures = True
     supports_aggregates = True
     streaming = True
 

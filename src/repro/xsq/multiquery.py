@@ -38,11 +38,13 @@ The session chooses its runtimes once, when it opens.  ``run()`` (and
 the serve broker) open the *mixed group*
 (:class:`~repro.xsq.push.MixedGroupHandle`): every member that lowers
 to a generated kernel against the group's one shared
-:class:`~repro.xsq.fastpath.TagTable` runs it on its route-partitioned
-sub-batch of each parser batch, and the rest run XSQ-F's matcher, all
-fed from one parse.  Batch partitioning loses the order *between*
-members, so the modes that promise it (incremental pairs, the merged
-union) run the interpreted group (:class:`~repro.xsq.push.MultiPushHandle`).
+:class:`~repro.xsq.fastpath.TagTable` — child-axis paths, and closure
+paths without predicates or element output — runs it on its
+route-partitioned sub-batch of each parser batch, and the rest run
+XSQ-F's matcher, all fed from one parse.  Batch partitioning loses the
+order *between* members, so the modes that promise it (incremental
+pairs, the merged union) run the interpreted group
+(:class:`~repro.xsq.push.MultiPushHandle`).
 """
 
 from __future__ import annotations
@@ -133,8 +135,9 @@ class MultiQueryEngine:
         Every member is lowered separately against one shared
         :class:`TagTable`, so the dispatch index's id routes agree with
         every plan's transition-row keys; a member outside the fast-path
-        class (closure, not()/or(), path predicate) gets ``None`` and
-        runs interpreted beside the kernels.  Returns ``(tags, plans,
+        classes (closure with predicates or element output, not()/or(),
+        path predicate) gets ``None`` and runs interpreted beside the
+        kernels.  Returns ``(tags, plans,
         routes, default)``, where each route splits the members an
         event's tag id reaches into ``(kernel members, interpreted
         members)``.  Per-member outcomes (fallback slugs, kernel notes)

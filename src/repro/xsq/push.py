@@ -552,17 +552,17 @@ class MixedGroupHandle(_GroupSession):
 
     Members that lowered to a :class:`~repro.xsq.fastpath.FastPlan`
     (against the group's one shared :class:`~repro.xsq.fastpath.TagTable`)
-    run their generated kernels; the rest (closure, ``not()``/``or()``)
-    run XSQ-F's matcher.  Both sides are fed from one parse: each
-    batched tuple is routed once by tag id, appended to the sub-batch of
-    every kernel member that must see it, and turned into one
-    :class:`~repro.streaming.events.Event` shared by the matchers that
-    must see it.  The kernels then run their sub-batches, one call per
-    member per feed.  Each member still sees the begin/end-balanced
-    subsequence the interpreted group would give it, so its results and
-    ``RunStats`` are the same; only the interleaving across members
-    differs, which is why ``push()`` and ``iter_results()`` keep
-    :class:`MultiPushHandle`.
+    run their generated kernels; the rest (closures with predicates or
+    element output, ``not()``/``or()``) run XSQ-F's matcher.  Both sides
+    are fed from one parse: each batched tuple is routed once by tag id,
+    appended to the sub-batch of every kernel member that must see it,
+    and turned into one :class:`~repro.streaming.events.Event` shared by
+    the matchers that must see it.  The kernels then run their
+    sub-batches, one call per member per feed.  Each member still sees
+    the begin/end-balanced subsequence the interpreted group would give
+    it, so its results and ``RunStats`` are the same; only the
+    interleaving across members differs, which is why ``push()`` and
+    ``iter_results()`` keep :class:`MultiPushHandle`.
 
     Opened only when no ``obs`` bundle is attached (the kernels have no
     per-event hook points), so it carries no instruments; the broker

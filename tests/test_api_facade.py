@@ -39,8 +39,15 @@ class TestCompileFacade:
         assert q.stats.as_dict() == nc.stats.as_dict()
 
     def test_auto_falls_back_to_f_on_closure(self):
-        q = repro.compile("//name/text()")
+        # A closure with a predicate needs XSQ-F's buffering.
+        q = repro.compile("//book[year]//name/text()")
         assert isinstance(q.engine, XSQEngine)
+        assert q.run(XML) == ["N"]
+
+    def test_auto_runs_predicate_free_closure_on_kernel(self):
+        q = repro.compile("//name/text()")
+        assert isinstance(q.engine, XSQEngineFast)
+        assert "closure stack (lazy DFA)" in q.explain()
         assert q.run(XML) == ["N"]
 
     def test_forced_f(self):

@@ -5,10 +5,11 @@ canonical query text, builds its grouped engine over the distinct texts
 only, and keeps that engine across every registry change that leaves
 the distinct set as it was.  The differential property below draws
 subscription multisets with duplicates over every query class the
-mixed group runs (child-axis kernels, closure and ``not()``/``or()``
-matchers, predicates, aggregates) and compares each subscription's
-results with an independent ``repro.compile(q).run()``, at several
-chunk splits, with a churn between documents.
+mixed group runs (child-axis and closure kernels, closure-predicate
+and ``not()``/``or()`` matchers, predicates, aggregates) and compares
+each subscription's results with an independent
+``repro.compile(q).run()``, at several chunk splits, with a churn
+between documents.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ QUERIES = (
     "/a/b[c>1]/text()",
     "/a/b[c]/@id",
     "/a/b",
-    # closure: interpreted
+    # predicate-free closure: closure-stack kernels
     "//b/text()",
     "//b//c/text()",
+    # closure with a predicate: interpreted
     "/a//c[@id=1]/text()",
     # not() / or(): interpreted
     "/a/b[not(c)]/@id",
@@ -189,21 +191,27 @@ class TestRuntimeReporting:
         broker = SubscriptionBroker()
         kernel = broker.subscribe("/a/b/text()")
         twin = broker.subscribe("/a/b/text()")
-        closure = broker.subscribe("//c/text()")
+        closure = broker.subscribe("//c[@id]/text()")
+        plain_closure = broker.subscribe("//c/text()")
         negated = broker.subscribe("/a/b[not(c)]/@id")
         described = {entry["sub"]: entry for entry in broker.describe()}
         assert described[kernel]["runtime"] == "kernel"
         assert described[twin]["runtime"] == "kernel"
         assert described[closure]["runtime"] == "xsq-f"
+        assert described[plain_closure]["runtime"] == "kernel"
         assert described[negated]["runtime"] == "xsq-f"
         assert {entry["distinct_queries"]
-                for entry in described.values()} == {3}
+                for entry in described.values()} == {4}
 
     def test_selection_notes_name_each_member_runtime(self):
-        engine = MultiQueryEngine(["/a/b/text()", "//c/text()"])
-        kernel_note, closure_note = engine.member_selection_notes()
+        engine = MultiQueryEngine(["/a/b/text()", "//c[@id]/text()",
+                                   "//c/text()"])
+        kernel_note, closure_note, plain_closure_note = \
+            engine.member_selection_notes()
         assert "— kernel (generated kernel" in kernel_note
-        assert "— xsq-f (fast path not selected: closure-axis)" \
+        assert "— xsq-f (fast path not selected: closure-predicate)" \
             in closure_note
-        for note in (kernel_note, closure_note):
+        assert "— kernel (generated kernel" in plain_closure_note
+        assert "closure stack (lazy DFA)" in plain_closure_note
+        for note in (kernel_note, closure_note, plain_closure_note):
             assert "keep the group interpreted" not in note

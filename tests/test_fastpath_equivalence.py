@@ -315,8 +315,9 @@ def test_fast_engine_accepts_event_iterables():
 # --------------------------------------------------------------------------
 
 UNSUPPORTED = [
-    ("//a/text()", "closure-axis"),
-    ("/a//b/text()", "closure-axis"),
+    ("//a[@id]/text()", "closure-predicate"),
+    ("/a[b]//c/text()", "closure-predicate"),
+    ("/a//b", "closure-element-output"),
     ("/a[not(b)]/text()", "not-predicate"),
     ("/a[b or c]/text()", "or-predicate"),
     ("/a[b/c]/text()", "path-predicate"),
@@ -341,7 +342,7 @@ def test_unsupported_reason_is_none_for_supported():
 
 def test_forced_fast_raises_on_unsupported():
     with pytest.raises(FastPathUnsupportedError):
-        repro.compile("//a/text()", engine="fast")
+        repro.compile("//a[b]/text()", engine="fast")
     with pytest.raises(FastPathUnsupportedError):
         repro.compile("/r/a/text() | /r/b/text()", engine="fast")
 
@@ -351,13 +352,14 @@ def test_selection_metrics():
     obs = Observability(spans=False, events=False)
     repro.compile("/a/b/text()", obs=obs, cache=False)
     repro.compile("//a/text()", obs=obs, cache=False)
+    repro.compile("//a[b]/text()", obs=obs, cache=False)
     snapshot = obs.metrics.as_dict()
     assert snapshot['repro_engine_selection_total'
-                    '{engine="xsq-fast",fastpath="selected"}'] == 1
+                    '{engine="xsq-fast",fastpath="selected"}'] == 2
     assert snapshot['repro_engine_selection_total'
                     '{engine="xsq-f",fastpath="fallback"}'] == 1
     assert snapshot['repro_fastpath_fallback_total'
-                    '{reason="closure-axis"}'] == 1
+                    '{reason="closure-predicate"}'] == 1
 
 
 def test_per_event_observability_forces_interpreted():
