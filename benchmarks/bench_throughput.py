@@ -3,7 +3,9 @@
 
 Measures MB/s over the four Figure 15 datasets (SHAKE, NASA, DBLP, PSD)
 with each dataset's Figure 16/17-style query — plus two element-output
-and two closure workloads — for the three single-query runtimes: the
+workloads, two closure workloads and a wildcard text workload (whose
+tag table stays open, so the parser cannot project the stream) — for
+the three single-query runtimes: the
 fast tier's generated kernel (the ``codegen`` column), XSQ-NC and
 XSQ-F, plus the PureParser parse-only ceiling the paper normalizes
 against.  XSQ-NC runs no closure queries, so the closure workloads
@@ -74,6 +76,10 @@ WORKLOADS = [
     # a lazy DFA, where the interpreted choice is XSQ-F.
     ("shake-closure", "//SCENE//SPEAKER/text()"),
     ("psd-closure", "//refinfo//author/text()"),
+    # A text query whose wildcard step keeps its tag table open: the
+    # parser builds a tuple for every tag, beside the text rows above
+    # that it projects to their queries' tags.
+    ("dblp-wildcard", "/dblp/inproceedings[@key]/*/text()"),
 ]
 
 GENERATORS = {
@@ -86,6 +92,7 @@ GENERATORS["shake-speech"] = GENERATORS["shake"]
 GENERATORS["dblp-title"] = GENERATORS["dblp"]
 GENERATORS["shake-closure"] = GENERATORS["shake"]
 GENERATORS["psd-closure"] = GENERATORS["psd"]
+GENERATORS["dblp-wildcard"] = GENERATORS["dblp"]
 
 ENGINES = {
     "codegen": lambda query: XSQEngineFast(query, cache=False),

@@ -137,10 +137,17 @@ class Profiler:
         #: query label -> [seconds, events routed]
         self.queries: Dict[str, List[float]] = {}
         self.engines: List[str] = []
+        #: Parsed stream events, including those the parser dropped.
         self.events = 0
+        #: Events a closed tag table let the parser drop (no tuple).
+        self.dropped = 0
         self.results = 0
-        #: Fast-path sampling bookkeeping (0 when fully exact).
+        #: Fast-path sampling bookkeeping (0 when fully exact): parsed
+        #: events the sampled batches covered, and the tuples behind
+        #: the sampling scale (tuples fed over tuples sampled).
         self.sampled_events = 0
+        self._fed_tuples = 0
+        self._sampled_tuples = 0
         self.sampling = False
         #: Driver-measured wall seconds (compile + run), the coverage
         #: denominator.
@@ -253,6 +260,13 @@ class Profiler:
         output seconds are sampled at the same rate as states.
         Unsampled batches run the unchanged kernel, which keeps
         profiled fast runs within the 2x-throughput floor.
+
+        ``events`` and the ``parse`` count are the parsed stream
+        length: each batch adds its tuples plus the events the parser
+        dropped before building any (``Batch.dropped``), which are also
+        tallied on their own.  ``automaton`` counts the tuples the
+        kernel ran, and the sampling scale divides tuples fed by tuples
+        sampled.
         """
         self.attach(engine, runtime, proxy=False)
         kernel = runtime.run_batch
@@ -269,6 +283,7 @@ class Profiler:
         def profiled(batch):
             nonlocal last, index
             t1 = clock()
+            dropped = getattr(batch, "dropped", 0)
             if index % interval == 0:
                 self.sampling = True
                 inner = runtime.queue
@@ -283,16 +298,19 @@ class Profiler:
                         bump(tags, tag_names[event[1]], dt)
                 finally:
                     runtime.queue = inner
-                self.sampled_events += len(batch)
+                self.sampled_events += len(batch) + dropped
+                self._sampled_tuples += len(batch)
             else:
                 kernel(batch)
             t2 = clock()
             n = len(batch)
             parse[0] += t1 - last
-            parse[1] += n
+            parse[1] += n + dropped
             automaton[0] += t2 - t1
             automaton[1] += n
-            self.events += n
+            self.events += n + dropped
+            self.dropped += dropped
+            self._fed_tuples += n
             index += 1
             last = t2
 
@@ -365,9 +383,10 @@ class Profiler:
             results=self.results if results is None else results,
             sampling=({"interval": self.sample_interval,
                        "sampled_events": self.sampled_events,
-                       "scale": (self.events / self.sampled_events
-                                 if self.sampled_events else 0.0)}
+                       "scale": (self._fed_tuples / self._sampled_tuples
+                                 if self._sampled_tuples else 0.0)}
                       if self.sampling else None),
+            dropped=self.dropped,
         )
 
 
@@ -383,7 +402,7 @@ class ProfileReport:
                  tags: Dict[str, Tuple[float, int]],
                  queries: Dict[str, Tuple[float, int]],
                  counts: dict, events: int, results: int,
-                 sampling: Optional[dict] = None):
+                 sampling: Optional[dict] = None, dropped: int = 0):
         self.query = query
         self.engine = engine
         self.wall = wall
@@ -395,6 +414,8 @@ class ProfileReport:
         self.events = events
         self.results = results
         self.sampling = sampling
+        #: Of :attr:`events`, those the parser dropped without a tuple.
+        self.dropped = dropped
 
     # -- derived ---------------------------------------------------------
 
@@ -443,6 +464,11 @@ class ProfileReport:
             "attributed: %.1f%%"
             % (self.engine, "{:,}".format(self.events),
                "{:,}".format(self.results), wall, 100.0 * self.coverage))
+        if self.dropped:
+            lines.append("dropped at the parser: %s of %s events (no "
+                         "compiled plan can react to their tags)"
+                         % ("{:,}".format(self.dropped),
+                            "{:,}".format(self.events)))
         lines.append("")
         lines.append("%-28s %12s  %7s  %12s" % ("phase", "seconds",
                                                 "% wall", "count"))
@@ -557,6 +583,7 @@ class ProfileReport:
             "attributed_seconds": self.attributed_seconds,
             "coverage": self.coverage,
             "events": self.events,
+            "dropped": self.dropped,
             "results": self.results,
             "phases": {name: {"seconds": seconds, "count": count}
                        for name, (seconds, count) in

@@ -179,16 +179,23 @@ class SubscriptionBroker:
         """Registry snapshot for the server's ``stats`` op.
 
         Each entry names the runtime its query's engine member runs
-        (``kernel`` or ``xsq-f``) and how many distinct queries the
-        registry holds (the members each document is evaluated on).
+        (``kernel`` or ``xsq-f``), its ``parser projection:`` line (the
+        tags the member keeps, or why it needs every tag and so keeps
+        the shared parser from dropping any) and how many distinct
+        queries the registry holds (the members each document is
+        evaluated on).
         """
         snapshot = self._current()
         runtimes: Dict[str, str] = {}
-        if snapshot.engine is not None:
-            for owners, runtime in zip(snapshot.fanout,
-                                       snapshot.engine.member_runtimes):
+        projections: Dict[str, str] = {}
+        engine = snapshot.engine
+        if engine is not None:
+            for i, (owners, runtime) in enumerate(
+                    zip(snapshot.fanout, engine.member_runtimes)):
+                projection = engine.member_projection(i)
                 for sid in owners:
                     runtimes[sid] = runtime
+                    projections[sid] = projection
         distinct = len(snapshot.fanout)
         with self._lock:
             subs = list(self._subs.values())
@@ -196,6 +203,7 @@ class SubscriptionBroker:
         for sub in subs:
             entry = sub.as_dict()
             entry["runtime"] = runtimes.get(sub.sid)
+            entry["projection"] = projections.get(sub.sid)
             entry["distinct_queries"] = distinct
             described.append(entry)
         return described

@@ -126,34 +126,62 @@ def iter_with_depth(events: Iterable[Event]) -> Iterator[Event]:
             yield TextEvent(event.tag, event.text, depth)
 
 
+class Batch(list):
+    """One chunk of batched ``(kind, tag_id, payload, depth)`` tuples.
+
+    A plain list plus ``dropped``: how many stream events the producer
+    parsed since the previous batch without building a tuple, because
+    their tag is missing from a *closed*
+    :class:`repro.xsq.fastpath.TagTable` (no compiled plan can react to
+    them).  Sessions add it to their event count, so ``RunStats.events``
+    stays the full stream length.  Consumers that only iterate tuples
+    treat a ``Batch`` as the list it is.  Producers set ``dropped``
+    before handing a batch over (a slot, not a dict: one batch per
+    feed on the push path).
+    """
+
+    __slots__ = ("dropped",)
+
+
 def batch_events(events: Iterable[Event], tags,
-                 batch_size: int = 2048) -> Iterator[list]:
+                 batch_size: int = 2048) -> Iterator[Batch]:
     """Convert an :class:`Event` iterable into batched-tuple chunks.
 
     The adapter the fast path uses when a caller hands it pre-built
     events (tests, composed validators) instead of raw XML: each yielded
-    list holds up to ``batch_size`` ``(kind, tag_id, payload, depth)``
-    tuples with tags interned through ``tags`` (a
-    :class:`repro.xsq.fastpath.TagTable`).  The parser-backed sources
-    build these tuples directly (:meth:`SaxEventSource.batches`,
-    :meth:`TextEventSource.batches`) and skip Event allocation entirely.
+    :class:`Batch` holds up to ``batch_size``
+    ``(kind, tag_id, payload, depth)`` tuples with tags interned through
+    ``tags`` (a :class:`repro.xsq.fastpath.TagTable`).  On a closed
+    table an event whose tag the table lacks (``intern`` returns None)
+    becomes no tuple and is counted in ``Batch.dropped`` instead — the
+    same rule the parsers apply (:class:`repro.streaming.push.PushBatchParser`).
+    A text event carries its enclosing element's tag, so a dropped
+    element's text goes with it.
     """
     intern_tag = tags.intern
-    batch: list = []
+    batch = Batch()
     append = batch.append
+    dropped = 0
     for event in events:
+        tid = intern_tag(event.tag)
+        if tid is None:
+            dropped += 1
+            continue
         kind = event.kind
         if kind == "begin":
-            append((BEGIN, intern_tag(event.tag), event.attrs, event.depth))
+            append((BEGIN, tid, event.attrs, event.depth))
         elif kind == "end":
-            append((END, intern_tag(event.tag), None, event.depth))
+            append((END, tid, None, event.depth))
         else:
-            append((TEXT, intern_tag(event.tag), event.text, event.depth))
+            append((TEXT, tid, event.text, event.depth))
         if len(batch) >= batch_size:
+            batch.dropped = dropped
             yield batch
-            batch = []
+            batch = Batch()
             append = batch.append
-    if batch:
+            dropped = 0
+    if batch or dropped:
+        batch.dropped = dropped
         yield batch
 
 

@@ -26,7 +26,14 @@ offset and proves the event stream is identical to a single-shot parse.
 * :class:`PushBatchParser` — yields ``(kind, tag_id, payload, depth)``
   tuples with tags interned through a
   :class:`~repro.xsq.fastpath.TagTable` (the compiled fast path's feed
-  granularity).
+  granularity).  It is the only tuple producer over expat: the pull
+  source's ``batches()`` feeds it chunk by chunk
+  (:meth:`PushBatchParser.batches`).  On a *closed* table it builds no
+  tuple for a tag the table lacks — no plan lowered against the table
+  can react to it — and counts the events it so drops in each
+  :class:`~repro.streaming.events.Batch`, which keeps the sessions'
+  event counts the full stream length (document projection, Marian &
+  Siméon, VLDB 2003, applied at the expat callback).
 
 ``finish()`` ends the document: it gives expat its final empty parse
 (which is where "unexpected end of document" truncation errors
@@ -35,13 +42,14 @@ surface), returns any tail events, and marks the parser closed.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.errors import StreamError
 from repro.streaming.events import (
     BEGIN,
     END,
     TEXT,
+    Batch,
     BeginEvent,
     EndEvent,
     Event,
@@ -49,6 +57,10 @@ from repro.streaming.events import (
 )
 
 Chunk = Union[str, bytes]
+
+#: Default number of tuples per batch yielded by
+#: :meth:`PushBatchParser.batches` (the fast path's feed granularity).
+DEFAULT_BATCH_SIZE = 2048
 
 
 class _PushBase:
@@ -164,13 +176,24 @@ class PushEventParser(_PushBase):
 
 class PushBatchParser(_PushBase):
     """Push parser yielding batched ``(kind, tag_id, payload, depth)``
-    tuples — the compiled fast path's feed representation.
+    tuples — the compiled fast path's feed representation, and the one
+    tuple producer behind every parser-backed batch source (the pull
+    :meth:`~repro.streaming.sax_source.SaxEventSource.batches` drives
+    it through :meth:`batches`).
 
     ``tags`` is the :class:`~repro.xsq.fastpath.TagTable` the consuming
     :class:`~repro.xsq.fastpath.FastPlan` was lowered against, so tag
-    ids agree with the plan's transition-row keys.  The tuple stream is
-    identical to :meth:`~repro.streaming.sax_source.SaxEventSource.batches`
-    over the concatenated chunks.
+    ids agree with the plan's transition-row keys.  Each feed returns a
+    :class:`~repro.streaming.events.Batch`.
+
+    On a *closed* table the parser projects the stream: an element
+    whose tag the table lacks, and its text, become no tuple; they are
+    counted in the batch's ``dropped``.  The parser still tracks depth
+    and the enclosing element across a dropped element, so its
+    children keep their true depths and a kept parent's text that the
+    dropped child splits still arrives, in two runs, under the
+    parent's id.  On an open table every tag is interned and the tuple
+    stream is the full one.
     """
 
     def __init__(self, tags):
@@ -178,35 +201,115 @@ class PushBatchParser(_PushBase):
         super().__init__()
 
     def _install_handlers(self) -> None:
-        out = self._out.append
-        text_parts = self._text_parts
+        ids_get = self.tags.ids.get
         intern_tag = self.tags.intern
-        tid_stack: List[int] = []
-        self._tid_stack = tid_stack
+        closed = self.tags.closed
+        out = Batch()
+        dropped = 0
+        text_parts = self._text_parts
+        clear_parts = text_parts.clear
+        tid_stack: List[Optional[int]] = []
+        push_tid = tid_stack.append
+        pop_tid = tid_stack.pop
+        depth = 0
+        # Per-callback costs matter here: the id dict is probed inline
+        # (the intern method call is only the open table's miss path),
+        # whitespace runs are tested with the allocation-free
+        # ``isspace``, and depth, the output batch and the event-kind
+        # constants are closure cells.  Closure cells beat
+        # default-argument locals for these handlers: expat calls them
+        # millions of times, and argument processing copies every
+        # default into the frame per call.  A dropped element's id slot
+        # holds None.
+        _B, _T, _E = BEGIN, TEXT, END
 
         def start(name, attrs):
+            nonlocal depth, dropped
             if text_parts:
-                text = "".join(text_parts)
-                del text_parts[:]
-                if tid_stack and text.strip():
-                    out((TEXT, tid_stack[-1], text, self._depth))
-            self._depth += 1
-            tid = intern_tag(name)
-            tid_stack.append(tid)
-            out((BEGIN, tid, attrs, self._depth))
+                text = (text_parts[0] if len(text_parts) == 1
+                        else "".join(text_parts))
+                clear_parts()
+                if tid_stack and not text.isspace():
+                    tid = tid_stack[-1]
+                    if tid is None:
+                        dropped += 1
+                    else:
+                        out.append((_T, tid, text, depth))
+            depth += 1
+            tid = ids_get(name)
+            if tid is None:
+                if closed:
+                    dropped += 1
+                    push_tid(None)
+                    return
+                tid = intern_tag(name)
+            push_tid(tid)
+            out.append((_B, tid, attrs, depth))
 
         def end(name):
+            nonlocal depth, dropped
+            tid = pop_tid()
+            if tid is None:
+                # A dropped element: count its last text run and its end.
+                if text_parts:
+                    text = (text_parts[0] if len(text_parts) == 1
+                            else "".join(text_parts))
+                    clear_parts()
+                    if not text.isspace():
+                        dropped += 1
+                dropped += 1
+                depth -= 1
+                return
             if text_parts:
-                text = "".join(text_parts)
-                del text_parts[:]
-                if text.strip():
-                    out((TEXT, tid_stack[-1], text, self._depth))
-            out((END, tid_stack.pop(), None, self._depth))
-            self._depth -= 1
+                text = (text_parts[0] if len(text_parts) == 1
+                        else "".join(text_parts))
+                clear_parts()
+                if not text.isspace():
+                    out.append((_T, tid, text, depth))
+            out.append((_E, tid, None, depth))
+            depth -= 1
 
+        def take(min_size=0):
+            # The tuples completed so far, as one Batch carrying the
+            # drop count; None while fewer than ``min_size`` wait.
+            nonlocal out, dropped
+            batch = out
+            if len(batch) < min_size:
+                return None
+            batch.dropped = dropped
+            out = Batch()
+            dropped = 0
+            return batch
+
+        self._take = take
+        # The base class's feed() and finish() return ``_drain()``.
+        self._drain = take
         self._parser.StartElementHandler = start
         self._parser.EndElementHandler = end
         self._parser.CharacterDataHandler = text_parts.append
+
+    def batches(self, chunks, batch_size: int = DEFAULT_BATCH_SIZE
+                ) -> Iterator[Batch]:
+        """Parse the whole document in ``chunks``, then finish; yield a
+        batch whenever at least ``batch_size`` tuples are waiting, and
+        the tail.
+
+        Chunks go to expat as given (a ``str`` chunk is parsed as
+        text, whatever encoding its XML declaration names), and a batch
+        holds every tuple completed by the chunks before it, so the
+        consumer's batch loop keeps its granularity on small chunks and
+        no tuple is copied on large ones.
+        """
+        parse = self._parse
+        take = self._take
+        for chunk in chunks:
+            parse(chunk, False)
+            batch = take(batch_size)
+            if batch is not None:
+                yield batch
+        tail = self.finish()
+        if tail or tail.dropped:
+            yield tail
 
 
 def events_from_chunks(chunks):
@@ -226,20 +329,13 @@ def events_from_chunks(chunks):
         yield event
 
 
-def batches_from_chunks(chunks, tags, batch_size: int = 2048):
+def batches_from_chunks(chunks, tags, batch_size: int = DEFAULT_BATCH_SIZE):
     """Batched-tuple variant of :func:`events_from_chunks`.
 
     Tuples accumulate across small chunks until ``batch_size`` so the
     fast path's batch loop keeps its granularity even on byte-sized
-    feeds.
+    feeds.  ``str`` chunks are encoded UTF-8, as :meth:`feed` does.
     """
-    parser = PushBatchParser(tags)
-    pending: list = []
-    for chunk in chunks:
-        pending.extend(parser.feed(chunk))
-        if len(pending) >= batch_size:
-            yield pending
-            pending = []
-    pending.extend(parser.finish())
-    if pending:
-        yield pending
+    return PushBatchParser(tags).batches(
+        (chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+         for chunk in chunks), batch_size)

@@ -12,6 +12,13 @@ Two entry points:
 * :class:`SaxEventSource` — the underlying pull-based source with an
   explicit chunk size, reusable by the benchmark harness (which needs to
   time the parse phase separately).
+
+The compiled fast path's batched tuples (:meth:`SaxEventSource.batches`,
+:func:`parse_events_batched`) come from the one tuple producer,
+:class:`repro.streaming.push.PushBatchParser`, fed the same chunks.  On
+a closed :class:`~repro.xsq.fastpath.TagTable` that producer projects
+the stream: a tag the table lacks gets no tuple, only a count in the
+:class:`~repro.streaming.events.Batch`'s ``dropped``.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ from collections import deque
 from typing import IO, Iterable, Iterator, Union
 
 from repro.errors import StreamError
+from repro.streaming.push import DEFAULT_BATCH_SIZE, PushBatchParser
 from repro.streaming.source import open_xml_input
 from repro.streaming.events import (
-    BEGIN,
-    END,
-    TEXT,
+    Batch,
     BeginEvent,
     EndEvent,
     Event,
@@ -35,10 +41,6 @@ from repro.streaming.events import (
 #: Default read granularity; one memory page's worth of text keeps the
 #: parser busy without buffering large spans of the stream.
 DEFAULT_CHUNK_SIZE = 64 * 1024
-
-#: Default number of batched-tuple events per chunk yielded by the
-#: ``batches()`` mode (:mod:`repro.xsq.fastpath`'s feed granularity).
-DEFAULT_BATCH_SIZE = 2048
 
 
 class _CollectingHandler(xml.sax.ContentHandler):
@@ -125,98 +127,45 @@ class SaxEventSource:
             yield out.popleft()
 
     def batches(self, tags, batch_size: int = DEFAULT_BATCH_SIZE
-                ) -> Iterator[list]:
+                ) -> Iterator[Batch]:
         """Yield chunks of ``(kind, tag_id, payload, depth)`` tuples.
 
         The fast-path feed: tags are interned once into ``tags`` (a
         :class:`repro.xsq.fastpath.TagTable`), events are plain tuples,
         and the consumer receives them ``batch_size`` at a time so its
         interpreter loop can hoist attribute lookups out of the
-        per-event path.  Event content and order are identical to
-        ``iter(self)`` — same text coalescing (one text event per run,
-        flushed only at the next element boundary, so splits at entity
-        references, comments, and buffer edges never show) and the same
-        whitespace-only drop; the differential equivalence tests compare
-        the two streams.
+        per-event path.  On an open table the content and order are
+        identical to ``iter(self)`` — same text coalescing (one text
+        event per run, flushed only at the next element boundary, so
+        splits at entity references, comments, and buffer edges never
+        show) and the same whitespace-only drop; the differential
+        equivalence tests compare the two streams.  On a closed table
+        the tuples of tags it lacks are left out and counted in each
+        :class:`~repro.streaming.events.Batch`'s ``dropped``.
 
-        Drives ``pyexpat`` directly rather than going through
-        ``xml.sax``: the SAX layer builds an ``AttributesImpl`` and
-        crosses several dispatch hops per element, while expat's raw
-        callbacks hand over a plain attrs dict built in C.  That is
-        most of the batched boundary's throughput edge over the Event
-        path.
+        The input is read ``chunk_size`` bytes at a time into the one
+        batch producer, the resumable
+        :class:`~repro.streaming.push.PushBatchParser`, which drives
+        ``pyexpat`` directly rather than going through ``xml.sax``: the
+        SAX layer builds an ``AttributesImpl`` and crosses several
+        dispatch hops per element, while expat's raw callbacks hand over
+        a plain attrs dict built in C.  That is most of the batched
+        boundary's throughput edge over the Event path.
         """
-        from xml.parsers import expat
+        stream = self._stream
+        read, size = stream.read, self._chunk_size
 
-        intern_tag = tags.intern
-        tag_ids = tags.ids
-        out: list = []
-        tid_stack: list = []
-        text_parts: list = []
-        clear_parts = text_parts.clear
-        pop_tid = tid_stack.pop
-        depth = 0
-        # Per-callback costs matter here: the id dict is probed inline
-        # (the intern method call is only the miss path), whitespace
-        # runs are tested with the allocation-free ``isspace``, and the
-        # event-kind constants are closure cells, not globals.  Closure
-        # cells beat default-argument locals for these handlers: expat
-        # calls them millions of times, and argument processing copies
-        # every default into the frame per call.
-        _B, _T, _E = BEGIN, TEXT, END
-
-        def start(name, attrs):
-            nonlocal depth
-            if text_parts:
-                text = (text_parts[0] if len(text_parts) == 1
-                        else "".join(text_parts))
-                clear_parts()
-                if tid_stack and not text.isspace():
-                    out.append((_T, tid_stack[-1], text, depth))
-            depth += 1
-            tid = tag_ids.get(name)
-            if tid is None:
-                tid = intern_tag(name)
-            tid_stack.append(tid)
-            out.append((_B, tid, attrs, depth))
-
-        def end(name):
-            nonlocal depth
-            tid = pop_tid()
-            if text_parts:
-                text = (text_parts[0] if len(text_parts) == 1
-                        else "".join(text_parts))
-                clear_parts()
-                if not text.isspace():
-                    out.append((_T, tid, text, depth))
-            out.append((_E, tid, None, depth))
-            depth -= 1
-
-        parser = expat.ParserCreate()
-        # Coalesce character data in expat itself where possible; the
-        # manual flush above covers the splits buffer_text cannot see
-        # (comments, processing instructions).
-        parser.buffer_text = True
-        parser.StartElementHandler = start
-        parser.EndElementHandler = end
-        parser.CharacterDataHandler = text_parts.append
-        try:
+        def chunks():
             while True:
-                chunk = self._stream.read(self._chunk_size)
+                chunk = read(size)
                 if not chunk:
-                    break
-                parser.Parse(chunk, False)
-                if len(out) >= batch_size:
-                    batch = out
-                    out = []
-                    yield batch
-            parser.Parse(b"", True)
-        except expat.ExpatError as exc:
-            raise StreamError("XML parse error: %s" % exc) from exc
+                    return
+                yield chunk
+
+        try:
+            yield from PushBatchParser(tags).batches(chunks(), batch_size)
         finally:
-            self._stream.close()
-        if out:
-            yield out
+            stream.close()
 
 
 # The classification logic lives in repro.streaming.source now; the
@@ -243,16 +192,15 @@ def parse_events_batched(source: Union[str, bytes, IO], tags,
     ``tags`` is the :class:`repro.xsq.fastpath.TagTable` that receives
     the interned tag ids; see :meth:`SaxEventSource.batches`.
 
-    >>> class _T:
-    ...     def __init__(self): self.ids = {}; self.names = []
-    ...     def intern(self, t):
-    ...         if t not in self.ids:
-    ...             self.ids[t] = len(self.names); self.names.append(t)
-    ...         return self.ids[t]
-    >>> t = _T()
+    >>> from repro.xsq.fastpath import TagTable
+    >>> t = TagTable()
     >>> [e[:2] for batch in parse_events_batched("<a><b>hi</b></a>", t)
     ...  for e in batch]
     [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
+    >>> t.close()   # closed: <c> has no id, so it is dropped and counted
+    >>> [(e[:2], batch.dropped) for batch in parse_events_batched(
+    ...     "<a><c>x</c><b/></a>", t) for e in batch]
+    [((0, 0), 3), ((0, 1), 3), ((2, 1), 3), ((2, 0), 3)]
     """
     return SaxEventSource(source, chunk_size=chunk_size).batches(
         tags, batch_size=batch_size)

@@ -23,13 +23,14 @@ from __future__ import annotations
 import io
 import re
 import sys
-from typing import IO, Iterator, List, Union
+from typing import IO, Iterator, List, Optional, Union
 
 from repro.errors import StreamError
 from repro.streaming.events import (
     BEGIN,
     END,
     TEXT,
+    Batch,
     BeginEvent,
     EndEvent,
     Event,
@@ -163,21 +164,24 @@ class TextEventSource:
             raise StreamError("document ended with open elements: %s"
                               % "/".join(tag_stack))
 
-    def batches(self, tags, batch_size: int = 2048) -> Iterator[list]:
+    def batches(self, tags, batch_size: int = 2048) -> Iterator[Batch]:
         """Yield chunks of ``(kind, tag_id, payload, depth)`` tuples.
 
         The pure-Python twin of
         :meth:`repro.streaming.sax_source.SaxEventSource.batches`: same
         tuples, same order, tags interned once into ``tags`` (a
-        :class:`repro.xsq.fastpath.TagTable`), no Event allocation.
+        :class:`repro.xsq.fastpath.TagTable`), no Event allocation, and
+        the same projection on a closed table (a tag it lacks, with its
+        element's text, is counted in ``Batch.dropped``, not built).
         """
         intern_tag = tags.intern
         self._buf = ""
         self._pos = 0
         self._eof = False
         depth = 0
-        tid_stack: List[int] = []
-        batch: list = []
+        tid_stack: List[Optional[int]] = []
+        batch = Batch()
+        dropped = 0
         try:
             while True:
                 try:
@@ -190,16 +194,24 @@ class TextEventSource:
                 kind, payload = token
                 if kind == "text":
                     if tid_stack:
-                        batch.append((TEXT, tid_stack[-1], payload, depth))
+                        if tid_stack[-1] is None:
+                            dropped += 1
+                        else:
+                            batch.append((TEXT, tid_stack[-1], payload,
+                                          depth))
                     elif payload.strip():
                         raise StreamError("text outside document element")
                 elif kind == "begin":
                     tag, attrs, self_closing = payload
                     depth += 1
                     tid = intern_tag(tag)
-                    batch.append((BEGIN, tid, attrs, depth))
+                    if tid is None:
+                        dropped += 2 if self_closing else 1
+                    else:
+                        batch.append((BEGIN, tid, attrs, depth))
+                        if self_closing:
+                            batch.append((END, tid, None, depth))
                     if self_closing:
-                        batch.append((END, tid, None, depth))
                         depth -= 1
                     else:
                         tid_stack.append(tid)
@@ -207,18 +219,26 @@ class TextEventSource:
                     if not tid_stack:
                         raise StreamError(
                             "close tag %r with no open element" % payload)
-                    batch.append((END, tid_stack.pop(), None, depth))
+                    tid = tid_stack.pop()
+                    if tid is None:
+                        dropped += 1
+                    else:
+                        batch.append((END, tid, None, depth))
                     depth -= 1
                 if len(batch) >= batch_size:
+                    batch.dropped = dropped
                     yield batch
-                    batch = []
+                    batch = Batch()
+                    dropped = 0
         finally:
             self._stream.close()
         if tid_stack:
             raise StreamError("document ended with open elements: %s"
-                              % "/".join(tags.names[tid]
+                              % "/".join("?" if tid is None
+                                         else tags.names[tid]
                                          for tid in tid_stack))
-        if batch:
+        if batch or dropped:
+            batch.dropped = dropped
             yield batch
 
     def _read_more(self) -> bool:

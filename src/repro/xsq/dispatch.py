@@ -30,6 +30,16 @@ the same fact: a skipped element matches no step, so comparing depths
 with the nearest element they were fed tells a child from a deeper
 descendant.
 
+The same rule decides *parser projection*: when no registered query
+needs every tag (:func:`needs_every_tag`), the tags the index names
+are all the stream a run can react to.  A plan lowered alone
+(:func:`repro.xsq.fastpath.compile_fastplan`) and a query group with
+no greedy member (:class:`repro.xsq.multiquery.MultiQueryEngine`) then
+close their :class:`~repro.xsq.fastpath.TagTable`, and the batch
+parsers build no tuple for any other tag; they only count it, so
+``RunStats.events`` stays the full stream length.  A query that needs
+every tag keeps its table open, and its tuple stream is the full one.
+
 Routing is resolved once at registration: ``routes[tag]`` is the merged
 (bucket ∪ greedy) tuple of query indices, and ``default`` (the greedy
 tuple alone) serves every tag no query names.  Per event the driver
@@ -44,6 +54,39 @@ from typing import Dict, Sequence, Tuple
 
 from repro.xpath.ast import ElementOutput
 from repro.xsq.hpdt import Hpdt
+
+
+def needs_every_tag(hpdt: Hpdt) -> Tuple[str, ...]:
+    """Why a run of ``hpdt`` must see events of tags it does not name.
+
+    ``("element output",)`` when the output serializes whole subtrees,
+    ``("wildcard",)`` when a node test or predicate child is ``*``,
+    both, or ``()`` when no event outside
+    :meth:`~repro.xsq.hpdt.Hpdt.tag_interest` can matter.  The dispatch
+    index routes such a query every event (the greedy bucket), and a
+    plan lowered for it keeps its tag table open.
+
+    >>> needs_every_tag(Hpdt("/pub[year>2000]/book/name/text()"))
+    ()
+    >>> needs_every_tag(Hpdt("//pub/*"))
+    ('element output', 'wildcard')
+    """
+    reasons = []
+    if isinstance(hpdt.query.output, ElementOutput):
+        reasons.append("element output")
+    if hpdt.tag_interest()[1]:
+        reasons.append("wildcard")
+    return tuple(reasons)
+
+
+def projection_note(hpdt: Hpdt, kept: int) -> str:
+    """The ``parser projection:`` line of ``explain()``: how many tags a
+    run of ``hpdt`` keeps (``kept``, its closed table's size), or why it
+    keeps them all."""
+    reasons = needs_every_tag(hpdt)
+    if reasons:
+        return "parser projection: none (%s)" % ", ".join(reasons)
+    return "parser projection: keeps %d tags" % kept
 
 
 class DispatchIndex:
@@ -64,12 +107,10 @@ class DispatchIndex:
         greedy = []
         buckets: Dict[str, list] = {}
         for index, hpdt in enumerate(hpdts):
-            tags, wildcard = hpdt.tag_interest()
-            if wildcard or isinstance(hpdt.query.output, ElementOutput):
-                # Element serialization captures whole subtrees, so the
-                # runtime must see every event while a match is open.
+            if needs_every_tag(hpdt):
                 greedy.append(index)
                 continue
+            tags, _wildcard = hpdt.tag_interest()
             for tag in tags:
                 buckets.setdefault(tag, []).append(index)
         self.query_count = len(hpdts)

@@ -13,7 +13,9 @@ et al. freeze their stream schedule:
   a small int once, at the parser boundary; the runtime then routes on
   ints.  The table is shared with the multi-query
   :class:`~repro.xsq.dispatch.DispatchIndex` so shared-dispatch routing
-  uses the same ids.
+  uses the same ids.  A plan that can react to no tag it does not name
+  closes its table after lowering, and the parser then builds no tuple
+  for any other tag (parser projection).
 * **Transition tables** (:class:`FastPlan`): per HPDT state (= number of
   matched leading steps, the deterministic engine's single current
   position) an int-keyed dict maps a begin event's tag id to the
@@ -88,6 +90,7 @@ from repro.xpath.parser import parse_query
 from repro.xsq.aggregates import StatBuffer
 from repro.xsq.buffers import BufferItem, OutputQueue
 from repro.xsq.compile_cache import compile_hpdt
+from repro.xsq.dispatch import needs_every_tag, projection_note
 from repro.xsq.engine import RunStats, _QueryEngine
 from repro.xsq.hpdt import Hpdt
 from repro.xsq.matcher import PredicateInstance
@@ -101,18 +104,28 @@ class TagTable:
     pointer comparisons in the common case) and every downstream
     consumer — the fast runtime's transition rows, the dispatch index's
     id routes — keys on the resulting ints.
+
+    A table is *closed* once the plan (or query group) lowered against
+    it can react to no tag it lacks — no ``*`` node test or predicate
+    child and no element output
+    (:func:`repro.xsq.dispatch.needs_every_tag`).  A closed table never
+    interns again: :meth:`intern` returns None for a new name, and the
+    batch producers build no tuple for such a tag, only count it
+    (document projection at the parser).  An open table grows with
+    every new name the streams carry.
     """
 
-    __slots__ = ("ids", "names", "_lock")
+    __slots__ = ("ids", "names", "closed", "_lock")
 
     def __init__(self):
         self.ids: Dict[str, int] = {}
         self.names: List[str] = []
+        self.closed = False
         self._lock = threading.Lock()
 
-    def intern(self, tag: str) -> int:
+    def intern(self, tag: str) -> Optional[int]:
         tid = self.ids.get(tag)
-        if tid is None:
+        if tid is None and not self.closed:
             # One table serves every session of its plan or group, and
             # serve broker streams may be fed from different threads:
             # assign new ids under a lock (hits stay lock-free), and
@@ -125,6 +138,10 @@ class TagTable:
                     self.ids[tag] = tid
         return tid
 
+    def close(self) -> None:
+        """Freeze the vocabulary: from now on unknown tags are dropped."""
+        self.closed = True
+
     def get(self, tag: str) -> Optional[int]:
         """The id for ``tag`` if already interned (compile-time lookup)."""
         return self.ids.get(tag)
@@ -133,7 +150,8 @@ class TagTable:
         return len(self.names)
 
     def __repr__(self):
-        return "<TagTable %d tags>" % len(self.names)
+        return "<TagTable %d tags%s>" % (len(self.names),
+                                         ", closed" if self.closed else "")
 
 
 def unsupported_reason(query: Query) -> Optional[Tuple[str, str]]:
@@ -617,9 +635,12 @@ def compile_fastplan(hpdt: Hpdt, tags: Optional[TagTable] = None,
     With ``tags=None`` the plan is memoized on the HPDT itself
     (``hpdt._fastplan``), so it rides the process-wide HPDT compile
     cache: a query compiled once per process is *lowered* once per
-    process too.  Passing an explicit shared ``tags`` table (the
-    multi-query path, where every member must agree on tag ids)
-    bypasses the memo.
+    process too.  The plan gets its own :class:`TagTable`, closed as
+    soon as lowering ends unless the query needs every tag
+    (:func:`repro.xsq.dispatch.needs_every_tag`), so the parser drops
+    every tag the plan never interned.  Passing an explicit shared
+    ``tags`` table (the multi-query path, where every member must agree
+    on tag ids) bypasses the memo and leaves closing to the group.
 
     Schema-aware lowerings (``schema_info`` from
     :func:`repro.xsq.schema_compile.analyze_fastpath`) are memoized
@@ -632,30 +653,38 @@ def compile_fastplan(hpdt: Hpdt, tags: Optional[TagTable] = None,
     if reason is not None:
         slug, message = reason
         raise FastPathUnsupportedError(message, reason=slug)
+    if tags is not None:
+        if hpdt.query.has_closure:
+            return ClosurePlan(hpdt.query, tags)
+        return FastPlan(hpdt.query, tags, schema_info)
     if hpdt.query.has_closure:
         # A closure plan has no rows for a schema to prune and no
         # predicates to resolve eagerly: it ignores ``schema_info``.
-        if tags is not None:
-            return ClosurePlan(hpdt.query, tags)
         if hpdt._fastplan is None:
-            hpdt._fastplan = ClosurePlan(hpdt.query, TagTable())
+            hpdt._fastplan = _closed(ClosurePlan(hpdt.query, TagTable()),
+                                     hpdt)
         return hpdt._fastplan
-    if tags is None:
-        if schema_info is not None:
-            plans = getattr(hpdt, "_schema_plans", None)
-            if plans is None:
-                plans = hpdt._schema_plans = {}
-            plan = plans.get(schema_info.fingerprint)
-            if plan is None:
-                plan = FastPlan(hpdt.query, TagTable(), schema_info)
-                plans[schema_info.fingerprint] = plan
-            return plan
-        plan = hpdt._fastplan
+    if schema_info is not None:
+        plans = getattr(hpdt, "_schema_plans", None)
+        if plans is None:
+            plans = hpdt._schema_plans = {}
+        plan = plans.get(schema_info.fingerprint)
         if plan is None:
-            plan = FastPlan(hpdt.query, TagTable())
-            hpdt._fastplan = plan
+            plan = _closed(FastPlan(hpdt.query, TagTable(), schema_info),
+                           hpdt)
+            plans[schema_info.fingerprint] = plan
         return plan
-    return FastPlan(hpdt.query, tags, schema_info)
+    if hpdt._fastplan is None:
+        hpdt._fastplan = _closed(FastPlan(hpdt.query, TagTable()), hpdt)
+    return hpdt._fastplan
+
+
+def _closed(plan: FastPlan, hpdt: Hpdt) -> FastPlan:
+    """``plan`` with its own table closed when no unnamed tag can
+    matter to it."""
+    if not needs_every_tag(hpdt):
+        plan.tags.close()
+    return plan
 
 
 class FastRuntime:
@@ -832,6 +861,7 @@ class XSQEngineFast(_QueryEngine):
         lines = [self.hpdt.describe(), "",
                  "runtime: xsq-fast (%s)" % self.plan.describe()]
         lines.append("kernel: %s" % self.kernel_note)
+        lines.append(projection_note(self.hpdt, len(self.plan.tags)))
         if self.plan.schema_note:
             lines.append(self.plan.schema_note)
         if self.plan.schema_no_buffer:

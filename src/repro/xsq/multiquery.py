@@ -54,7 +54,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from repro.errors import FastPathUnsupportedError
 from repro.xpath.ast import Query
 from repro.xsq.compile_cache import compile_hpdt
-from repro.xsq.dispatch import DispatchIndex
+from repro.xsq.dispatch import DispatchIndex, projection_note
 from repro.xsq.engine import RunStats
 from repro.xsq.fastpath import FastPlan, TagTable, compile_fastplan
 from repro.xsq.hpdt import Hpdt
@@ -140,7 +140,10 @@ class MultiQueryEngine:
         kernels.  Returns ``(tags, plans,
         routes, default)``, where each route splits the members an
         event's tag id reaches into ``(kernel members, interpreted
-        members)``.  Per-member outcomes (fallback slugs, kernel notes)
+        members)``.  When no member is greedy (no member needs every
+        tag), the table is closed once the id routes have interned every
+        bucketed tag, so the group's parser projects the stream.
+        Per-member outcomes (fallback slugs, kernel notes)
         land on :attr:`member_fallbacks` / :attr:`member_kernel_notes`
         for ``explain()``.
         """
@@ -174,6 +177,10 @@ class MultiQueryEngine:
                     tuple(i for i in members if plans[i] is None))
 
         routes, default = self.index.id_routes(tags)
+        if not default:
+            # No greedy member: every tag some member can react to now
+            # has an id, so the parser may drop the rest.
+            tags.close()
         return (tags, plans,
                 {tid: split(members) for tid, members in routes.items()},
                 split(default))
@@ -188,7 +195,8 @@ class MultiQueryEngine:
                 for plan in self._fast[1]]
 
     def member_selection_notes(self) -> List[str]:
-        """One engine-selection line per member query, for explain()."""
+        """One engine-selection note per member query, for explain():
+        its runtime, and its parser projection on a second line."""
         notes = []
         for i, (query, runtime) in enumerate(zip(self.queries,
                                                  self.member_runtimes)):
@@ -198,9 +206,17 @@ class MultiQueryEngine:
                 why = "fast path not selected: %s" % self.member_fallbacks[i]
             else:
                 why = self.fast_group_note
-            notes.append("member %d: %s — %s (%s)"
-                         % (i, query.text, runtime, why))
+            notes.append("member %d: %s — %s (%s)\n  %s"
+                         % (i, query.text, runtime, why,
+                            self.member_projection(i)))
         return notes
+
+    def member_projection(self, index: int) -> str:
+        """Member ``index``'s ``parser projection:`` line: the tags it
+        keeps, or why it needs every tag (which keeps the whole group's
+        table open)."""
+        hpdt = self.hpdts[index]
+        return projection_note(hpdt, len(hpdt.tag_interest()[0]))
 
     # -- execution ----------------------------------------------------------
     #

@@ -53,8 +53,8 @@ import time
 from typing import List, Tuple
 
 from repro.errors import StreamError, UnsupportedFeatureError
-from repro.streaming.events import (BEGIN, END, TEXT, BeginEvent,
-                                     EndEvent, TextEvent)
+from repro.streaming.events import (BEGIN, END, BeginEvent, EndEvent,
+                                     TextEvent, batch_events)
 from repro.streaming.source import coerce_source
 from repro.xpath.ast import AggregateOutput
 from repro.xsq.aggregates import StatBuffer
@@ -307,7 +307,10 @@ class FastPushHandle(_QuerySession):
     ids were interned through the owning plan's
     :class:`~repro.xsq.fastpath.TagTable` (exposed as :attr:`tags` so
     the parser layer can share it); plain events are converted on the
-    fly by :meth:`feed_events`.
+    fly by :meth:`feed_events`.  A
+    :class:`~repro.streaming.events.Batch` from a closed table's parser
+    also carries the events it dropped, which count toward
+    :attr:`events_fed` and ``RunStats.events`` like the tuples do.
     """
 
     feed_mode = FEED_BATCH
@@ -328,7 +331,7 @@ class FastPushHandle(_QuerySession):
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
-        self._count += len(batch)
+        self._count += len(batch) + getattr(batch, "dropped", 0)
         self._run_batch(batch)
         out = self._drain()
         if latency is not None:
@@ -336,18 +339,14 @@ class FastPushHandle(_QuerySession):
         return out
 
     def feed_events(self, events) -> list:
-        intern = self.tags.intern
-        batch = []
-        append = batch.append
-        for event in events:
-            kind = event.kind
-            if kind == "begin":
-                append((BEGIN, intern(event.tag), event.attrs, event.depth))
-            elif kind == "end":
-                append((END, intern(event.tag), None, event.depth))
-            else:
-                append((TEXT, intern(event.tag), event.text, event.depth))
-        return self.feed_batch(batch)
+        """Feed plain events, converted (and, on a closed table,
+        projected) by :func:`~repro.streaming.events.batch_events`."""
+        if self.closed:
+            raise StreamError(_CLOSED)
+        out: list = []
+        for batch in batch_events(events, self.tags):
+            out.extend(self.feed_batch(batch))
+        return out
 
 
 class _GroupSession(_Session):
@@ -564,6 +563,11 @@ class MixedGroupHandle(_GroupSession):
     interleaving across members differs, which is why ``push()`` and
     ``iter_results()`` keep :class:`MultiPushHandle`.
 
+    When no member is greedy the group's table is closed and the parser
+    builds tuples only for tags some member names; every batch's
+    ``dropped`` count still joins the event count every member's
+    ``RunStats`` reports.
+
     Opened only when no ``obs`` bundle is attached (the kernels have no
     per-event hook points), so it carries no instruments; the broker
     stamps delivery latency itself, after fanning results out, so the
@@ -607,7 +611,7 @@ class MixedGroupHandle(_GroupSession):
         draining)."""
         if self.closed:
             raise StreamError(_CLOSED)
-        self._count += len(batch)
+        self._count += len(batch) + getattr(batch, "dropped", 0)
         routes_get = self._routes_get
         default = self._default
         subs = self._subs
