@@ -11,7 +11,10 @@ document, the wall-clock throughput of three execution strategies:
   runtime (the pre-index grouped engine);
 * ``shared``      — :class:`MultiQueryEngine` with the tag-keyed
   dispatch index routing each event only to the queries that can
-  react to it.
+  react to it;
+* ``push``        — the same shared engine's ordered ``push()``
+  session fed the document in 4 KB chunks, its ``(query_index,
+  value)`` pairs in stream order across queries (recorded, not gated).
 
 Outputs one JSON artifact (``BENCH_multiquery.json``) suitable for CI
 archiving, and with ``--check`` exits non-zero unless, at the largest
@@ -33,6 +36,7 @@ import sys
 import time
 from typing import Dict, List
 
+from repro.api import PushSession
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
 from repro.xsq.engine import XSQEngine
@@ -63,14 +67,30 @@ def timed(fn, repeats: int) -> float:
     return best
 
 
+PUSH_CHUNK = 4096
+
+
+def pushed(engine: MultiQueryEngine, chunks: List[str]) -> list:
+    """One ordered push session over ``chunks``: every pair."""
+    session = PushSession(engine.push())
+    pairs = []
+    for chunk in chunks:
+        pairs += session.feed(chunk)
+    return pairs + session.finish()
+
+
 def run_point(xml: str, queries: List[str], repeats: int) -> Dict[str, float]:
     shared = MultiQueryEngine(queries, cache=False)
     dense = MultiQueryEngine(queries, cache=False, shared_dispatch=False)
     independents = [XSQEngine(query, cache=False) for query in queries]
+    chunks = [xml[i:i + PUSH_CHUNK] for i in range(0, len(xml), PUSH_CHUNK)]
 
-    # Sanity: the three strategies must agree before we time them.
+    # Sanity: the strategies must agree before we time them.
     expected = [engine.run(xml) for engine in independents]
-    if shared.run(xml) != expected or dense.run(xml) != expected:
+    pairs = pushed(shared, chunks)
+    if (shared.run(xml) != expected or dense.run(xml) != expected
+            or [[v for i, v in pairs if i == n] for n in range(len(queries))]
+            != expected):
         raise AssertionError(
             "strategies disagree for N=%d: shared dispatch is broken"
             % len(queries))
@@ -81,6 +101,7 @@ def run_point(xml: str, queries: List[str], repeats: int) -> Dict[str, float]:
         "dense_s": timed(lambda: dense.run(xml), repeats),
         "independent_s": timed(
             lambda: [engine.run(xml) for engine in independents], repeats),
+        "push_s": timed(lambda: pushed(shared, chunks), repeats),
     }
     point["shared_vs_dense"] = point["dense_s"] / point["shared_s"]
     point["shared_vs_independent"] = (point["independent_s"]
@@ -123,10 +144,10 @@ def main(argv=None) -> int:
         point = run_point(xml, workload[:size], args.repeats)
         points.append(point)
         print("N=%-4d shared=%.3fs dense=%.3fs independent=%.3fs "
-              "(vs dense %.2fx, vs independent %.2fx)"
+              "push=%.3fs (vs dense %.2fx, vs independent %.2fx)"
               % (size, point["shared_s"], point["dense_s"],
-                 point["independent_s"], point["shared_vs_dense"],
-                 point["shared_vs_independent"]))
+                 point["independent_s"], point["push_s"],
+                 point["shared_vs_dense"], point["shared_vs_independent"]))
 
     artifact = {
         "bench": "multiquery-shared-dispatch",

@@ -214,16 +214,21 @@ def test_uninstrumented_runs_bind_plain_methods():
     from repro.xsq.hpdt import Hpdt
     from repro.xsq.matcher import MatcherRuntime
     from repro.xsq.multiquery import MultiQueryEngine
+    from repro.xsq.push import MultiPushHandle
 
     session = XSQEngine(QUERY).push()
     assert session._feed.__func__ is MatcherRuntime.feed
     assert session._runtime.on_end.__func__ is MatcherRuntime._on_end_plain
     assert session._runtime.queue.new_item.__func__ is \
         OutputQueue._new_item_plain
-    group = MultiQueryEngine([QUERY, "/PLAY/TITLE/text()"]).push()
+    # The closure-with-predicate member runs interpreted beside the
+    # kernel member; its handler slot holds the plain matcher method.
+    group = MultiQueryEngine([QUERY, "//SPEECH[LINE]//SPEAKER/text()"]
+                             ).push()
     assert group._observe is None
-    assert all(handler.__func__ is MatcherRuntime._on_end_plain
-               for handler in group._ends)
+    assert group.feed_batch.__func__ is MultiPushHandle._feed_ordered
+    assert group._ends[0] is None
+    assert group._ends[1].__func__ is MatcherRuntime._on_end_plain
 
     plain = OutputQueue([])
     assert plain.new_item.__func__ is OutputQueue._new_item_plain

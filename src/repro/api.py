@@ -14,10 +14,11 @@ each with slightly different construction and result conventions.
     qs = repro.compile(["/a/b/text()", "//c/text()"])
     qs.run(stream)                  # one pass, per-query result lists
 
-Engine selection (``engine="auto"``, the default) follows the paper's
-own guidance: the deterministic XSQ-NC engine when the query has no
-closure axis, the full XSQ-F engine otherwise.  ``engine="f"`` or
-``"nc"`` forces a choice (``"nc"`` raises
+Engine selection (``engine="auto"``, the default) tries the tiers in
+order fast → nc → f: the generated kernel when the query lowers to one,
+else the deterministic XSQ-NC engine when the query has no closure
+axis, else the full XSQ-F engine.  ``engine="fast"``, ``"nc"`` or
+``"f"`` forces a choice (``"nc"`` raises
 :class:`~repro.errors.ClosureNotSupportedError` on closure queries).
 Top-level unions (``q1 | q2``) and reverse-axis queries that rewrite to
 nothing are handled transparently — the facade returns the same
@@ -111,7 +112,8 @@ class UnionEngine:
                 "%d greedy, max fanout %d"
                 % (shape["queries"], shape["buckets"], shape["greedy"],
                    shape["max_bucket"]))
-        parts.append("\n".join(self._engine.member_selection_notes()))
+        parts.append("\n".join(
+            self._engine.member_selection_notes(merged=True)))
         return "\n\n".join(parts)
 
 
@@ -662,5 +664,6 @@ def compile(query, *, engine: str = "auto", obs=None, cache=None,
     if engine != "auto":
         raise ValueError(
             "engine=%r cannot apply to a query set: grouped execution "
-            "always uses the XSQ-F runtime per member" % (engine,))
+            "chooses per member, running its generated kernel or XSQ-F"
+            % (engine,))
     return CompiledQuerySet(query, obs=obs, cache=cache, schema=schema)

@@ -292,11 +292,13 @@ class BrokerStream:
         self.closed = False
         from repro.streaming.push import PushBatchParser
         from repro.xsq.fastpath import TagTable
-        from repro.xsq.push import MixedGroupHandle
+        from repro.xsq.push import MultiPushHandle
         engine = snapshot.engine
-        # The broker's engine carries no obs bundle, so it always opens
-        # the mixed group; an empty registry still parses.
-        self._handle = (MixedGroupHandle(engine)
+        # Results need document order per subscription only, so the
+        # group session runs whole batches (ordered=False).  The
+        # broker's engine carries no obs bundle, so every member that
+        # lowers runs its kernel.  An empty registry still parses.
+        self._handle = (MultiPushHandle(engine, ordered=False)
                         if engine is not None else None)
         self._parser = PushBatchParser(self._handle.tags
                                        if self._handle is not None

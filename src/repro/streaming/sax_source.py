@@ -168,11 +168,6 @@ class SaxEventSource:
             stream.close()
 
 
-# The classification logic lives in repro.streaming.source now; the
-# old private name stays importable for downstream callers.
-_open_xml_input = open_xml_input
-
-
 def parse_events(source: Union[str, bytes, IO],
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Event]:
     """Yield depth-annotated SAX events for ``source``, incrementally.

@@ -131,18 +131,17 @@ class CoercedSource:
         ``tags`` is the consuming plan's
         :class:`~repro.xsq.fastpath.TagTable`.
         """
+        from repro.streaming.push import DEFAULT_BATCH_SIZE
+        batch_size = batch_size or DEFAULT_BATCH_SIZE
         if self.kind == STREAM:
-            from repro.streaming.sax_source import (
-                DEFAULT_BATCH_SIZE, parse_events_batched)
-            return parse_events_batched(
-                self.raw, tags, batch_size=(batch_size or DEFAULT_BATCH_SIZE))
+            from repro.streaming.sax_source import parse_events_batched
+            return parse_events_batched(self.raw, tags, batch_size=batch_size)
         if self.kind == CHUNKS:
             from repro.streaming.push import batches_from_chunks
             return batches_from_chunks(self._iterable, tags,
-                                       batch_size=(batch_size or 2048))
+                                       batch_size=batch_size)
         from repro.streaming.events import batch_events
-        return batch_events(self._iterable, tags,
-                            batch_size=(batch_size or 2048))
+        return batch_events(self._iterable, tags, batch_size=batch_size)
 
     def read_bytes(self) -> bytes:
         """Materialize the whole document (the bulk runner's shape).

@@ -128,7 +128,7 @@ class DispatchIndex:
         """The routing table re-keyed by interned tag id.
 
         ``tags`` is the shared :class:`repro.xsq.fastpath.TagTable` the
-        batched parsers stamp events with; the mixed group session
+        batched parsers stamp events with; the group session
         routes on ``event[1]`` (an int) instead of a tag string, so the
         per-event lookup skips string hashing entirely.  Interning here
         also pre-registers every bucketed tag, keeping ids stable no

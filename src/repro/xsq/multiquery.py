@@ -20,8 +20,8 @@ is shared.  ``shared_dispatch=False`` recovers the dense loop (every
 event to every runtime) for A/B measurement — the bench harness
 compares both against N independent engines.
 
-Every result mode is one group session (:mod:`repro.xsq.push`) fed by
-a different caller:
+Every result mode is the one group session
+(:class:`~repro.xsq.push.MultiPushHandle`) fed by a different caller:
 
 * :meth:`MultiQueryEngine.run` — per-query result lists (the
   subscription/dissemination shape);
@@ -34,17 +34,15 @@ a different caller:
   sequence counter, so document order across the member queries is
   just item order.
 
-The session chooses its runtimes once, when it opens.  ``run()`` (and
-the serve broker) open the *mixed group*
-(:class:`~repro.xsq.push.MixedGroupHandle`): every member that lowers
-to a generated kernel against the group's one shared
+The engine lowers its members once, at construction: every member that
+lowers to a generated kernel against the group's one shared
 :class:`~repro.xsq.fastpath.TagTable` — child-axis paths, and closure
 paths without predicates or element output — runs it on its
-route-partitioned sub-batch of each parser batch, and the rest run
-XSQ-F's matcher, all fed from one parse.  Batch partitioning loses the
-order *between* members, so the modes that promise it (incremental
-pairs, the merged union) run the interpreted group
-(:class:`~repro.xsq.push.MultiPushHandle`).
+route-partitioned share of each parser batch, and the rest run XSQ-F's
+matcher, all fed from one parse.  An ``obs`` bundle, the dense loop and
+the merged union lower every member to XSQ-F instead.  Sessions that
+promise order across members (``push()``, ``iter_results()``, the
+union, any ``obs`` session) feed that loop one tuple at a time.
 """
 
 from __future__ import annotations
@@ -95,9 +93,17 @@ class MultiQueryEngine:
         self.queries: List[Query] = [h.query for h in self.hpdts]
         self.index: Optional[DispatchIndex] = (
             DispatchIndex(self.hpdts) if shared_dispatch else None)
-        # Per-member lowering for the mixed group run() opens; None
-        # when obs or the dense loop pins the whole group interpreted.
+        count = len(self.hpdts)
+        self.member_fallbacks: List[Optional[str]] = [None] * count
+        self.member_kernel_notes: List[Optional[str]] = [None] * count
+        self.fast_group_note: Optional[str] = (
+            "per-event observability needs the interpreted runtimes"
+            if obs is not None else
+            "shared_dispatch=False pins the interpreted dense loop"
+            if self.index is None else None)
+        # The lowering every session but the merged union runs on.
         self._fast = self._try_fastplans()
+        self._union_fast = None
         self.last_stats: Optional[List[RunStats]] = None
         if obs is not None and self.index is not None:
             shape = self.index.stats()
@@ -129,55 +135,48 @@ class MultiQueryEngine:
             return None
         return RunStats.merged(self.last_stats)
 
-    def _try_fastplans(self):
-        """Lower each member for the mixed group, or None.
+    def _try_fastplans(self, interpreted: bool = False):
+        """Lower every member for the group session: ``(tags, plans,
+        routes, default)``.
 
         Every member is lowered separately against one shared
         :class:`TagTable`, so the dispatch index's id routes agree with
         every plan's transition-row keys; a member outside the fast-path
         classes (closure with predicates or element output, not()/or(),
-        path predicate) gets ``None`` and runs interpreted beside the
-        kernels.  Returns ``(tags, plans,
-        routes, default)``, where each route splits the members an
-        event's tag id reaches into ``(kernel members, interpreted
-        members)``.  When no member is greedy (no member needs every
-        tag), the table is closed once the id routes have interned every
-        bucketed tag, so the group's parser projects the stream.
-        Per-member outcomes (fallback slugs, kernel notes)
+        path predicate) gets ``None`` and runs on XSQ-F beside the
+        kernels.  Each route splits the members an event's tag id
+        reaches into ``(kernel members, interpreted members)``.
+
+        With ``interpreted``, an ``obs`` bundle or the dense loop every
+        plan is ``None``.  The dense loop routes every tuple to every
+        member.  An ``obs`` lowering keeps the table open, so the event
+        hooks see every event; otherwise, when no member is greedy (no
+        member needs every tag), the table is closed once the id routes
+        have interned every bucketed tag, so the group's parser projects
+        the stream.  Per-member outcomes (fallback slugs, kernel notes)
         land on :attr:`member_fallbacks` / :attr:`member_kernel_notes`
         for ``explain()``.
         """
-        count = len(self.hpdts)
-        self.member_fallbacks: List[Optional[str]] = [None] * count
-        self.member_kernel_notes: List[Optional[str]] = [None] * count
-        self.fast_group_note: Optional[str] = None
-        if self.obs is not None:
-            self.fast_group_note = ("per-event observability needs the "
-                                    "interpreted runtimes")
-            return None
-        if self.index is None:
-            self.fast_group_note = ("shared_dispatch=False pins the "
-                                    "interpreted dense loop")
-            return None
-        from repro.xsq.codegen import compile_kernel
         tags = TagTable()
-        plans: List[Optional[FastPlan]] = []
-        for i, hpdt in enumerate(self.hpdts):
-            try:
-                plan = compile_fastplan(hpdt, tags)
-            except FastPathUnsupportedError as exc:
-                self.member_fallbacks[i] = exc.reason
-                plans.append(None)
-                continue
-            self.member_kernel_notes[i] = compile_kernel(plan)[1]
-            plans.append(plan)
+        plans: List[Optional[FastPlan]] = [None] * len(self.hpdts)
+        if self.index is None:
+            return tags, plans, {}, ((), tuple(range(len(plans))))
+        if not interpreted and self.obs is None:
+            from repro.xsq.codegen import compile_kernel
+            for i, hpdt in enumerate(self.hpdts):
+                try:
+                    plans[i] = plan = compile_fastplan(hpdt, tags)
+                except FastPathUnsupportedError as exc:
+                    self.member_fallbacks[i] = exc.reason
+                    continue
+                self.member_kernel_notes[i] = compile_kernel(plan)[1]
 
         def split(members):
             return (tuple(i for i in members if plans[i] is not None),
                     tuple(i for i in members if plans[i] is None))
 
         routes, default = self.index.id_routes(tags)
-        if not default:
+        if not default and self.obs is None:
             # No greedy member: every tag some member can react to now
             # has an id, so the parser may drop the rest.
             tags.close()
@@ -185,23 +184,35 @@ class MultiQueryEngine:
                 {tid: split(members) for tid, members in routes.items()},
                 split(default))
 
+    def _merged_lowering(self):
+        """The all-XSQ-F lowering the merged union runs on (its items
+        need the interpreted output queues' shared sequence counter);
+        built on first use."""
+        if self._union_fast is None:
+            interpreted = all(plan is None for plan in self._fast[1])
+            self._union_fast = (self._fast if interpreted
+                                else self._try_fastplans(interpreted=True))
+        return self._union_fast
+
     @property
     def member_runtimes(self) -> List[str]:
-        """The runtime each member runs in ``run()``'s session (and the
-        serve broker's): ``kernel`` or ``xsq-f``."""
-        if self._fast is None:
-            return ["xsq-f"] * len(self.hpdts)
+        """The runtime each member runs in this engine's sessions other
+        than the merged union: ``kernel`` or ``xsq-f``."""
         return ["kernel" if plan is not None else "xsq-f"
                 for plan in self._fast[1]]
 
-    def member_selection_notes(self) -> List[str]:
+    def member_selection_notes(self, merged: bool = False) -> List[str]:
         """One engine-selection note per member query, for explain():
-        its runtime, and its parser projection on a second line."""
+        its runtime (in the merged union's session with ``merged``),
+        and its parser projection on a second line."""
+        runtimes = (["xsq-f"] * len(self.queries) if merged
+                    else self.member_runtimes)
         notes = []
-        for i, (query, runtime) in enumerate(zip(self.queries,
-                                                 self.member_runtimes)):
+        for i, (query, runtime) in enumerate(zip(self.queries, runtimes)):
             if runtime == "kernel":
                 why = self.member_kernel_notes[i]
+            elif merged:
+                why = "the merged union orders items by XSQ-F's sequence"
             elif self.member_fallbacks[i] is not None:
                 why = "fast path not selected: %s" % self.member_fallbacks[i]
             else:
@@ -220,24 +231,18 @@ class MultiQueryEngine:
 
     # -- execution ----------------------------------------------------------
     #
-    # Every mode is a group session (repro.xsq.push): the interpreted
-    # group where cross-member order is promised, the mixed group where
-    # it is not.
+    # Every mode is the one group session (repro.xsq.push.MultiPushHandle).
 
     def run(self, source, sinks=None) -> List[List[str]]:
         """Per-query results from a single pass over ``source``.
 
         ``sinks`` optionally supplies one collector per query (anything
         with ``append``), mirroring the single-query engines' ``sink=``;
-        results stream into them during the pass, which runs the mixed
-        group (kernel-capable members on their kernels) unless obs or
-        the dense loop pins the whole group interpreted.
+        results stream into them during the pass.
         """
-        from repro.xsq.push import MixedGroupHandle, MultiPushHandle
-        if self._fast is not None:
-            session = MixedGroupHandle(self, sinks=sinks, drain=False)
-        else:
-            session = MultiPushHandle(self, sinks=sinks, drain=False)
+        from repro.xsq.push import MultiPushHandle
+        session = MultiPushHandle(self, sinks=sinks, drain=False,
+                                  ordered=False)
         return session.feed_source(source, queries=len(self.queries))
 
     def iter_results(self, source) -> Iterator[Tuple[int, object]]:
@@ -270,11 +275,12 @@ class MultiQueryEngine:
         """Open a push session over all member queries for one document.
 
         The returned :class:`~repro.xsq.push.MultiPushHandle` exposes
-        ``feed_events(events)`` yielding ``(query_index, value)`` pairs
-        incrementally (the :meth:`iter_results` shape), or — with
-        ``merged=True`` — buffering for a document-order union returned
-        by ``finish()`` (the merged shape).  Merged mode rejects
-        aggregate members for the same reason :meth:`_run_merged` does.
+        ``feed_batch(batch)`` and ``feed_events(events)`` yielding
+        ``(query_index, value)`` pairs incrementally, in stream order
+        (the :meth:`iter_results` shape), or — with ``merged=True`` —
+        buffering for a document-order union returned by ``finish()``
+        (the merged shape).  Merged mode rejects aggregate members for
+        the same reason :meth:`_run_merged` does.
         """
         from repro.xsq.push import MultiPushHandle
         return MultiPushHandle(self, merged=merged)

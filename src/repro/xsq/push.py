@@ -10,7 +10,8 @@ by a different caller:
   (:meth:`~_Session.feed_source`); results stream into the caller's
   sink, uncopied, and ``finish()`` returns the run's result;
 * ``iter_results()`` feeds one event (interpreted runtimes) or one
-  batch (kernels) at a time and yields what each feed determined
+  batch (kernels, query groups) at a time and yields what each feed
+  determined
   (:meth:`~_Session.iter_source`);
 * ``push()`` hands the session to the caller, who feeds events or
   batched tuples as they arrive; :class:`repro.api.PushSession` adds a
@@ -19,12 +20,10 @@ by a different caller:
 There is one session per runtime kind: :class:`EventPushHandle`
 (interpreted single query, fed events), :class:`FastPushHandle`
 (generated kernel, fed batches), :class:`MultiPushHandle` (a query
-group, interpreted, in stream order across members),
-:class:`MixedGroupHandle` (a query group with kernel and interpreted
-members, in document order per member) and :class:`NullPushHandle`
-(the empty query).  Concatenating every feed's results plus
-``finish()`` equals ``run()``, for any split (the chunk-split
-differential suite proves it byte-for-byte).
+group, each member on its kernel or XSQ-F, fed batches) and
+:class:`NullPushHandle` (the empty query).  Concatenating every
+feed's results plus ``finish()`` equals ``run()``, for any split (the
+chunk-split differential suite proves it byte-for-byte).
 Aggregates surface their final value at ``finish()``; with
 ``streaming_agg=True`` each feed also returns the intermediate values
 the paper's ``stat.update`` emits for unbounded streams.
@@ -41,8 +40,8 @@ is idempotent.
 Every session carries a ``latency`` slot (default ``None``) for an
 optional :class:`repro.obs.latency.LatencyRecorder`: when attached, each
 feed call of a push handle stamps entry and emission timestamps onto
-per-result provenance records (the serve broker stamps its mixed
-group's results itself, after fan-out).  Detached, the cost is one
+per-result provenance records (the serve broker stamps its group
+session's results itself, after fan-out).  Detached, the cost is one
 attribute load and a ``None`` test per feed call.
 """
 
@@ -103,28 +102,6 @@ def _observed_feed(obs, name: str, feed, queue):
     return observed
 
 
-def _group_observer(obs, engine, mark):
-    """Per-event instruments for the group loop: the profiler's arrival
-    ``mark`` (or None), the event hook and, under shared dispatch, the
-    fanout histogram."""
-    hooks = [hook for hook in (mark, obs.event_hook()) if hook is not None]
-    fanout = None
-    if engine.index is not None:
-        from repro.obs.metrics import FANOUT_BUCKETS
-        fanout = obs.metrics.histogram(
-            "repro_dispatch_fanout_queries",
-            "runtimes touched per stream event under shared dispatch",
-            buckets=FANOUT_BUCKETS, engine=engine.name).observe
-
-    def observe(event, targets):
-        for hook in hooks:
-            hook(event)
-        if fanout is not None:
-            fanout(len(targets))
-
-    return observe
-
-
 class _Session:
     """What every session shares: the engine, the event count, the
     ``latency`` slot and the closed-handle contract."""
@@ -164,8 +141,8 @@ class _Session:
     def iter_source(self, source):
         """``iter_results()`` for every engine: yield as results
         determine.  Interpreted sessions are fed one event at a time,
-        kernel sessions one batch at a time, so unblocked results
-        surface mid-document."""
+        kernel and group sessions one batch at a time, so unblocked
+        results surface mid-document."""
         feed, units = self._units(source, per_event=True)
         for unit in units:
             yield from feed(unit)
@@ -193,6 +170,18 @@ class _Session:
         if per_event:
             return self.feed_events, ((event,) for event in events)
         return self.feed_events, (events,)
+
+    def feed_events(self, events) -> list:
+        """Feed plain events to a batch-fed session, converted (and, on
+        a closed table, projected) by
+        :func:`~repro.streaming.events.batch_events`; event-fed
+        sessions override this."""
+        if self.closed:
+            raise StreamError(_CLOSED)
+        out: list = []
+        for batch in batch_events(events, self.tags):
+            out.extend(self.feed_batch(batch))
+        return out
 
     def finish(self) -> list:
         """End the document: flush buffers, store stats, return the tail."""
@@ -338,110 +327,95 @@ class FastPushHandle(_QuerySession):
             latency.emitted(len(out))
         return out
 
-    def feed_events(self, events) -> list:
-        """Feed plain events, converted (and, on a closed table,
-        projected) by :func:`~repro.streaming.events.batch_events`."""
-        if self.closed:
-            raise StreamError(_CLOSED)
-        out: list = []
-        for batch in batch_events(events, self.tags):
-            out.extend(self.feed_batch(batch))
-        return out
+def _event_of(event, names):
+    """The :class:`~repro.streaming.events.Event` for one batched
+    ``(kind, tag_id, payload, depth)`` tuple."""
+    kind = event[0]
+    if kind == BEGIN:
+        return BeginEvent(names[event[1]], event[2], event[3])
+    if kind == END:
+        return EndEvent(names[event[1]], event[3])
+    return TextEvent(names[event[1]], event[2], event[3])
 
 
-class _GroupSession(_Session):
-    """What both query-group sessions share: one sink and one optional
-    :class:`StatBuffer` per member, and the end of the document.
+class MultiPushHandle(_Session):
+    """The query group: every member of a
+    :class:`~repro.xsq.multiquery.MultiQueryEngine` driven from one
+    parse.
 
-    ``drain=False`` is ``run()``'s shape: results stay in the sinks and
-    ``finish()`` returns the per-query result lists.  Otherwise feeds
-    return ``(query_index, value)`` pairs and aggregate members surface
-    their final value at ``finish()``.
+    The engine's lowering (``MultiQueryEngine._fast``) says which
+    runtime each member runs.  Members that lowered to a
+    :class:`~repro.xsq.fastpath.FastPlan` (against the group's one
+    shared :class:`~repro.xsq.fastpath.TagTable`) run their generated
+    kernels; the rest run XSQ-F's matcher.  Each batched tuple is
+    routed once by tag id, appended to the sub-batch of every kernel
+    member that must see it, and turned into one
+    :class:`~repro.streaming.events.Event` shared by the matchers that
+    must see it; the kernels then run their sub-batches.  Each member
+    sees the begin/end-balanced subsequence of the stream its dispatch
+    route gives it, so its results and ``RunStats`` do not depend on
+    how the stream is cut.
+
+    Cutting does decide the order *between* members.  Whole batches
+    give each member's results in document order, grouped by member:
+    ``run()`` and the serve broker open such a session
+    (``ordered=False``).  An ordered session binds :meth:`feed_batch`
+    to :meth:`_feed_ordered`, the same loop run one tuple at a time, so
+    feeds return pairs in stream order across members: ``push()``,
+    ``iter_results()``, the merged union and any ``obs`` session (whose
+    event hooks and profiler mark run before each tuple) are ordered.
+
+    Three result shapes:
+
+    * default: every feed returns ``(query_index, value)`` pairs;
+      aggregate members surface their final value at ``finish()``;
+    * ``merged=True``: the union.  Every member runs XSQ-F, feeds return
+      nothing, and ``finish()`` returns the document-order union,
+      through a sequence counter shared by every member's queue.  A
+      node that several members select with the same output is
+      returned once;
+    * ``drain=False``: ``run()``'s session.  Results stay in ``sinks``
+      and ``finish()`` returns the per-query result lists.
+
+    When no member is greedy and no ``obs`` bundle is attached, the
+    group's table is closed and the parser builds tuples only for tags
+    some member names; every batch's ``dropped`` count still joins the
+    event count every member's ``RunStats`` reports.
     """
 
-    def __init__(self, engine, sinks, drain: bool):
-        super().__init__(engine)
+    feed_mode = FEED_BATCH
+
+    def __init__(self, engine, merged: bool = False, sinks=None,
+                 drain: bool = True, ordered: bool = True):
         queries = engine.queries
+        if merged:
+            for query in queries:
+                if isinstance(query.output, AggregateOutput):
+                    raise UnsupportedFeatureError(
+                        "merged union cannot include aggregate query %r"
+                        % (query.text,))
+        super().__init__(engine)
         if sinks is None:
             sinks = [[] for _ in queries]
         elif len(sinks) != len(queries):
             raise ValueError("expected %d sinks, got %d"
                              % (len(queries), len(sinks)))
         self._sinks = sinks
-        self._drains = drain
+        self._drains = drain = drain and not merged
+        self._merged = merged
         self._stats = [StatBuffer(query.output.name)
                        if isinstance(query.output, AggregateOutput)
                        else None for query in queries]
-        self._runtimes: list = []
-
-    def _finish(self) -> list:
-        engine = self._engine
-        count = self._count
-        for runtime in self._runtimes:
-            runtime.finish()
-        # ``events`` is the *global* stream length for every member: all
-        # queries share the single pass even when the dispatch index
-        # withheld most events from their runtimes.
-        engine.last_stats = [RunStats.of(runtime, count)
-                             for runtime in self._runtimes]
-        if engine.obs is not None:
-            for run in engine.last_stats:
-                engine.obs.record_run(engine.name, run)
-        return self._tail()
-
-    def _tail(self) -> list:
-        if not self._drains:
-            return [[stat.render()] if stat is not None else sink
-                    for sink, stat in zip(self._sinks, self._stats)]
-        out: list = []
-        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
-            if stat is not None:
-                out.append((i, stat.render()))
-            else:
-                out.extend((i, value) for value in sink)
-                del sink[:]
-        return out
-
-
-class MultiPushHandle(_GroupSession):
-    """The interpreted query group over every member of a
-    :class:`~repro.xsq.multiquery.MultiQueryEngine`, in stream order.
-
-    Every member runs XSQ-F's matcher, fed events one at a time through
-    the shared dispatch index, so results come out in the order the
-    stream determines them — across members too.  ``push()`` and
-    ``iter_results()`` promise that order, and ``run()`` uses this
-    session when an ``obs`` bundle or the dense loop pins the whole
-    group interpreted.  Three result shapes:
-
-    * default — every feed returns ``(query_index, value)`` pairs,
-      interleaved in stream order; aggregate members surface their
-      final value at ``finish()``;
-    * ``merged=True`` — the union: feeds return nothing and ``finish()``
-      returns the document-order merged value list, through a sequence
-      counter shared by every member's queue (document order across
-      members is only known at end of stream);
-    * ``drain=False`` — ``run()``'s session: results stay in ``sinks``
-      and ``finish()`` returns the per-query result lists.
-    """
-
-    feed_mode = FEED_EVENTS
-
-    def __init__(self, engine, merged: bool = False, sinks=None,
-                 drain: bool = True):
-        if merged:
-            for query in engine.queries:
-                if isinstance(query.output, AggregateOutput):
-                    raise UnsupportedFeatureError(
-                        "merged union cannot include aggregate query %r"
-                        % (query.text,))
-        super().__init__(engine, sinks, drain and not merged)
-        self._merged = merged
+        tags, plans, routes, default = (engine._merged_lowering() if merged
+                                        else engine._fast)
+        self.tags = tags
+        self._names = tags.names
+        self._routes_get = routes.get
+        self._default = default
         obs = engine.obs
-        counter = itertools.count() if merged else None
         trace = obs.events if obs is not None else None
         accounting = obs.accounting if obs is not None else None
-        labels = [query.text for query in engine.queries]
+        labels = [query.text for query in queries]
         if accounting is not None:
             # Duplicate member queries must not share a ledger (each
             # queue numbers its items independently).
@@ -451,144 +425,30 @@ class MultiPushHandle(_GroupSession):
                 seen[text] = n + 1
                 if n:
                     labels[i] = "%s #%d" % (text, n + 1)
-        self._queues = []
-        for hpdt, sink, stat, label in zip(engine.hpdts, self._sinks,
-                                           self._stats, labels):
+        seq_source = None
+        if merged:
+            # One counter across members gives document order; the
+            # stream position each seq was issued at tells the tail
+            # which items are the same node.
+            counter = itertools.count()
+            positions = self._positions = []
+
+            def seq_source():
+                positions.append(self._count)
+                return next(counter)
+
+        self._runtimes = runtimes = []
+        for plan, hpdt, sink, stat, label in zip(
+                plans, engine.hpdts, sinks, self._stats, labels):
+            if plan is not None:
+                runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat))
+                continue
             queue = OutputQueue(
-                sink, trace=trace,
-                seq_source=(counter.__next__ if counter is not None
-                            else None),
-                track_seqs=merged,
+                sink, trace=trace, seq_source=seq_source, track_seqs=merged,
                 account=(accounting.account(label, engine=engine.name)
                          if accounting is not None else None))
-            self._queues.append(queue)
-            self._runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
-                                                 queue=queue))
-        index = engine.index
-        if index is not None:
-            self._routes_get = index.routes.get
-            self._default = index.default
-        else:
-            # Dense loop (the measured baseline): every event to every
-            # member, through the same per-kind handler tables.
-            self._routes_get = {}.get
-            self._default = tuple(range(len(self._runtimes)))
-        runtimes = self._runtimes
-        tables = ([r.on_begin for r in runtimes],
-                  [r.on_text for r in runtimes],
-                  [r.on_end for r in runtimes])
-        self._observe = None
-        if obs is not None:
-            mark = None
-            if obs.profiler is not None:
-                mark, tables = obs.profiler.timed_dispatch(
-                    engine.name, runtimes,
-                    [query.text for query in engine.queries])
-            self._observe = _group_observer(obs, engine, mark)
-        self._begins, self._texts, self._ends = tables
-
-    def feed_events(self, events) -> List[Tuple[int, object]]:
-        """Feed events; return newly determined ``(index, value)`` pairs
-        interleaved in stream order (empty when not draining).
-
-        ``TextEvent.tag`` is the *enclosing* element's tag and an end
-        event repeats its begin's tag, so one route lookup serves all
-        three kinds and every member sees a begin/end-balanced event
-        subsequence (its sparse stack stays consistent).
-        """
-        if self.closed:
-            raise StreamError(_CLOSED)
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
-        out: list = []
-        routes_get = self._routes_get
-        default = self._default
-        begins = self._begins
-        texts = self._texts
-        ends = self._ends
-        observe = self._observe
-        drains = self._drains
-        sinks = self._sinks
-        stats = self._stats
-        count = self._count
-        for event in events:
-            count += 1
-            targets = routes_get(event.tag, default)
-            if observe is not None:
-                observe(event, targets)
-            if targets:
-                kind = event.kind
-                table = (begins if kind == "begin"
-                         else ends if kind == "end" else texts)
-                for i in targets:
-                    table[i](event)
-                if drains:
-                    for i in targets:
-                        sink = sinks[i]
-                        if sink and stats[i] is None:
-                            out.extend((i, value) for value in sink)
-                            del sink[:]
-        self._count = count
-        if latency is not None:
-            latency.emitted(len(out))
-        return out
-
-    def _tail(self) -> list:
-        if not self._merged:
-            return super()._tail()
-        tagged: List[Tuple[int, str]] = []
-        for sink, queue in zip(self._sinks, self._queues):
-            tagged.extend(zip(queue.emitted_seqs, sink))
-        tagged.sort(key=lambda pair: pair[0])
-        return [value for _, value in tagged]
-
-
-class MixedGroupHandle(_GroupSession):
-    """The query group with each member on the fastest runtime it lowers
-    to, for callers that need each member's results in document order
-    but no order *between* members: ``run()`` and the serve broker.
-
-    Members that lowered to a :class:`~repro.xsq.fastpath.FastPlan`
-    (against the group's one shared :class:`~repro.xsq.fastpath.TagTable`)
-    run their generated kernels; the rest (closures with predicates or
-    element output, ``not()``/``or()``) run XSQ-F's matcher.  Both sides
-    are fed from one parse: each batched tuple is routed once by tag id,
-    appended to the sub-batch of every kernel member that must see it,
-    and turned into one :class:`~repro.streaming.events.Event` shared by
-    the matchers that must see it.  The kernels then run their
-    sub-batches, one call per member per feed.  Each member still sees
-    the begin/end-balanced subsequence the interpreted group would give
-    it, so its results and ``RunStats`` are the same; only the
-    interleaving across members differs, which is why ``push()`` and
-    ``iter_results()`` keep :class:`MultiPushHandle`.
-
-    When no member is greedy the group's table is closed and the parser
-    builds tuples only for tags some member names; every batch's
-    ``dropped`` count still joins the event count every member's
-    ``RunStats`` reports.
-
-    Opened only when no ``obs`` bundle is attached (the kernels have no
-    per-event hook points), so it carries no instruments; the broker
-    stamps delivery latency itself, after fanning results out, so the
-    feeds leave the ``latency`` slot unstamped.
-    """
-
-    feed_mode = FEED_BATCH
-
-    def __init__(self, engine, sinks=None, drain: bool = True):
-        super().__init__(engine, sinks, drain)
-        tags, plans, routes, default = engine._fast
-        self.tags = tags
-        self._names = tags.names
-        self._routes_get = routes.get
-        self._default = default
-        runtimes = self._runtimes
-        for plan, hpdt, sink, stat in zip(plans, engine.hpdts, self._sinks,
-                                          self._stats):
-            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat)
-                            if plan is None
-                            else FastRuntime(plan, hpdt, sink, stat=stat))
+            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
+                                           queue=queue))
         self._subs: List[list] = [[] for _ in runtimes]
         self._kernels = [(runtime.run_batch, self._subs[i])
                          for i, (runtime, plan)
@@ -598,17 +458,64 @@ class MixedGroupHandle(_GroupSession):
         # send kernel members tuples, so their slots stay None.
         matchers = [runtime if plan is None else None
                     for runtime, plan in zip(runtimes, plans)]
-        self._begins = [m.on_begin if m else None for m in matchers]
-        self._texts = [m.on_text if m else None for m in matchers]
-        self._ends = [m.on_end if m else None for m in matchers]
+        tables = ([m.on_begin if m else None for m in matchers],
+                  [m.on_text if m else None for m in matchers],
+                  [m.on_end if m else None for m in matchers])
+        self._observe = None
+        if obs is not None:
+            mark = None
+            if obs.profiler is not None:
+                # An obs lowering runs every member on the matcher.
+                mark, tables = obs.profiler.timed_dispatch(
+                    engine.name, runtimes, [query.text for query in queries])
+            self._observe = self._observer(obs, mark)
+        self._begins, self._texts, self._ends = tables
         self._drained = [(i, sink) for i, (sink, stat)
-                         in enumerate(zip(self._sinks, self._stats))
+                         in enumerate(zip(sinks, self._stats))
                          if stat is None] if drain else []
+        if ordered or merged or obs is not None:
+            self.feed_batch = self._feed_ordered
+
+    def _observer(self, obs, mark):
+        """The per-tuple instruments of an ``obs`` session: the
+        profiler's arrival ``mark`` (or None) and the event hook, fed
+        the tuple's Event, and under shared dispatch the fanout
+        histogram."""
+        hooks = [hook for hook in (mark, obs.event_hook())
+                 if hook is not None]
+        fanout = None
+        engine = self._engine
+        if engine.index is not None:
+            from repro.obs.metrics import FANOUT_BUCKETS
+            fanout = obs.metrics.histogram(
+                "repro_dispatch_fanout_queries",
+                "runtimes touched per stream event under shared dispatch",
+                buckets=FANOUT_BUCKETS, engine=engine.name).observe
+        names = self._names
+        routes_get = self._routes_get
+        default = self._default
+
+        def observe(event):
+            if hooks:
+                shared = _event_of(event, names)
+                for hook in hooks:
+                    hook(shared)
+            if fanout is not None:
+                kernels, matchers = routes_get(event[1], default)
+                fanout(len(kernels) + len(matchers))
+
+        return observe
 
     def feed_batch(self, batch: list) -> List[Tuple[int, object]]:
         """Feed one chunk of batched tuples; return the ``(index,
-        value)`` pairs it determined, grouped by member (empty when not
-        draining)."""
+        value)`` pairs it determined (empty when not draining).
+
+        This whole-batch loop groups the pairs by member; an ordered
+        session replaces it with :meth:`_feed_ordered`.  A text tuple
+        carries its enclosing element's tag id and an end tuple repeats
+        its begin's, so one route lookup serves all three kinds and
+        every member sees a begin/end-balanced subsequence.
+        """
         if self.closed:
             raise StreamError(_CLOSED)
         self._count += len(batch) + getattr(batch, "dropped", 0)
@@ -645,6 +552,75 @@ class MixedGroupHandle(_GroupSession):
             if sink:
                 out.extend((i, value) for value in sink)
                 del sink[:]
+        return out
+
+    def _feed_ordered(self, batch: list) -> List[Tuple[int, object]]:
+        """:meth:`feed_batch` one tuple at a time: each tuple's pairs
+        come out before the next tuple's, so pairs interleave across
+        members in stream order (ties in member order)."""
+        if self.closed:
+            raise StreamError(_CLOSED)
+        latency = self.latency
+        if latency is not None:
+            latency.handle_entry()
+        self._count += getattr(batch, "dropped", 0)
+        feed = MultiPushHandle.feed_batch
+        observe = self._observe
+        out: list = []
+        for event in batch:
+            if observe is not None:
+                observe(event)
+            out += feed(self, (event,))
+        if latency is not None:
+            latency.emitted(len(out))
+        return out
+
+    def _finish(self) -> list:
+        engine = self._engine
+        count = self._count
+        for runtime in self._runtimes:
+            runtime.finish()
+        # ``events`` is the *global* stream length for every member: all
+        # queries share the single pass even when the dispatch index
+        # withheld most events from their runtimes.
+        engine.last_stats = [RunStats.of(runtime, count)
+                             for runtime in self._runtimes]
+        if engine.obs is not None:
+            for run in engine.last_stats:
+                engine.obs.record_run(engine.name, run)
+        if self._merged:
+            return self._union()
+        if not self._drains:
+            return [[stat.render()] if stat is not None else sink
+                    for sink, stat in zip(self._sinks, self._stats)]
+        out: list = []
+        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
+            if stat is not None:
+                out.append((i, stat.render()))
+            else:
+                out.extend((i, value) for value in sink)
+                del sink[:]
+        return out
+
+    def _union(self) -> list:
+        """The merged union in document order (item seq order).  XPath's
+        ``|`` is a node-set union: an item issued at the same stream
+        position with the same output spec as one already kept is the
+        same node selected by another member, and is dropped."""
+        tagged: List[Tuple[int, object, str]] = []
+        for runtime, sink in zip(self._runtimes, self._sinks):
+            output = runtime.output
+            tagged.extend((seq, output, value) for seq, value
+                          in zip(runtime.queue.emitted_seqs, sink))
+        tagged.sort(key=lambda item: item[0])
+        positions = self._positions
+        kept = set()
+        out = []
+        for seq, output, value in tagged:
+            key = (positions[seq], output)
+            if key not in kept:
+                kept.add(key)
+                out.append(value)
         return out
 
 

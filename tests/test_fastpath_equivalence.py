@@ -213,9 +213,9 @@ def test_property_sweep_fast_vs_interpreted(xml, query):
                                        max_size=4))
 def test_property_sweep_multiquery_fast_pump(xml, queries):
     fast = MultiQueryEngine(queries)
-    assert fast._fast is not None
+    assert all(plan is not None for plan in fast._fast[1])
     interp = MultiQueryEngine(queries)
-    interp._fast = None
+    interp._fast = interp._try_fastplans(interpreted=True)
     assert fast.run(xml) == interp.run(xml)
     assert ([s.as_dict() for s in fast.last_stats]
             == [s.as_dict() for s in interp.last_stats])

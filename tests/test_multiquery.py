@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.errors import UnsupportedFeatureError
 from repro.xsq.engine import XSQEngine
 from repro.xsq.multiquery import MultiQueryEngine
@@ -97,3 +98,46 @@ class TestMergedResults:
                                    "/lib/box/book/t/text()"]
                                   )._run_merged(xml)
         assert merged == ["A", "B"]
+
+
+class TestUnionIsNodeSet:
+    """``|`` is a node-set union: a node that several branches select
+    with the same output is returned once, in document order."""
+
+    XML = ('<r><a id="x">1</a><b id="z">2</b>'
+           '<a id="y">3<a id="w">4</a></a></r>')
+
+    @pytest.mark.parametrize("union,expected", [
+        # overlapping text() branches
+        ("/r/a/text() | //a/text()", ["1", "3", "4"]),
+        ("/r/*/text() | /r/b/text()", ["1", "2", "3"]),
+        ("//a//a/text() | //a/text() | /r/*/text()", ["1", "2", "3", "4"]),
+        # overlapping @attr branches
+        ("/r/a/@id | //a/@id", ["x", "y", "w"]),
+        ("/r/*/@id | //a/@id", ["x", "z", "y", "w"]),
+        # overlapping element-output branches
+        ("/r/a | //a", ['<a id="x">1</a>', '<a id="y">3<a id="w">4</a></a>',
+                        '<a id="w">4</a>']),
+        # identical branches
+        ("/r/a/text() | /r/a/text()", ["1", "3"]),
+        ("//a | //a", ['<a id="x">1</a>', '<a id="y">3<a id="w">4</a></a>',
+                       '<a id="w">4</a>']),
+        # one node, different outputs: both kept
+        ("/r/a/@id | /r/a/text()", ["x", "1", "y", "3"]),
+    ])
+    def test_shared_nodes_returned_once(self, union, expected):
+        compiled = repro.compile(union)
+        assert compiled.run(self.XML) == expected
+        assert list(compiled.iter_results(self.XML)) == expected
+        session = compiled.push()
+        for index in range(0, len(self.XML), 7):
+            assert session.feed(self.XML[index:index + 7]) == []
+        assert session.finish() == expected
+
+    def test_branch_stats_unchanged(self):
+        # Deduplication is of the merged list only: each member still
+        # reports every item it emitted.
+        engine = MultiQueryEngine(["/r/a/text()", "//a/text()"])
+        assert engine._run_merged(self.XML) == ["1", "3", "4"]
+        assert [run.emitted for run in engine.last_stats] == [2, 3]
+

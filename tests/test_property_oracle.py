@@ -220,17 +220,44 @@ def test_multiquery_equals_individual_runs(xml, query_list):
     assert grouped == individual
 
 
+def node_set_union(xml, query_list):
+    """The DOM oracle's ``|``: one value per distinct (node, output)
+    pair, however many branches select it."""
+    from repro.baselines.dom import match_elements
+    from repro.xpath.ast import AttrOutput, TextOutput
+    from repro.xpath.parser import parse_query
+    document = build_dom(xml)
+    values = {}
+    for text in query_list:
+        query = parse_query(text)
+        output = query.output
+        for element in match_elements(document, query):
+            if isinstance(output, TextOutput):
+                for chunk, position in zip(
+                        element.texts, document.text_positions(element)):
+                    values[(position, output)] = chunk
+            elif isinstance(output, AttrOutput):
+                if output.attr in element.attrs:
+                    values[(element.position, output)] = \
+                        element.attrs[output.attr]
+            else:
+                values[(element.position, output)] = element.serialize()
+    return list(values.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(documents, st.lists(queries(outputs=("/text()", "/@id", "")),
                            min_size=2, max_size=3))
 def test_multiquery_merge_is_ordered_union(xml, query_list):
     from repro.xsq.multiquery import MultiQueryEngine
     merged = MultiQueryEngine(query_list)._run_merged(xml)
-    union = []
+    branches = set()
     for query in query_list:
-        union.extend(XSQEngine(query).run(xml))
-    # Same multiset; merged additionally in document order.
-    assert sorted(merged) == sorted(union)
+        branches.update(XSQEngine(query).run(xml))
+    # The node-set union: every branch's values, a node selected by
+    # several branches with the same output once.
+    assert set(merged) == branches
+    assert sorted(merged) == sorted(node_set_union(xml, query_list))
 
 
 @settings(max_examples=60, deadline=None)
