@@ -1,19 +1,22 @@
 """Ablation: schema-aware optimization (the paper's future work).
 
 Measures the three wins of :mod:`repro.xsq.schema_opt` against the
-schema-unaware engine on the same data:
+schema-unaware engine on the same data.  Both sides run XSQ-F
+(``repro.compile(q, engine="f", schema=DBLP_DTD)`` against
+:class:`XSQEngine`), so the schema's win is isolated from the
+generated kernel's:
 
-* a closure query on a non-recursive schema runs deterministically
-  (closure elimination → XSQ-NC);
+* a closure query on a non-recursive schema runs as a child-axis path
+  (closure elimination);
 * a statically-empty query costs nothing at all;
 * a guaranteed predicate disappears from the HPDT.
 """
 
 import pytest
 
+import repro
 from repro.streaming.dtd import parse_dtd
 from repro.xsq.engine import XSQEngine
-from repro.xsq.schema_opt import SchemaAwareEngine
 
 DBLP_DTD = parse_dtd("""
     <!ELEMENT dblp (article | inproceedings)*>
@@ -32,13 +35,21 @@ GUARANTEED_QUERY = "/dblp/article[title]/year/text()"
 EMPTY_QUERY = "//article//booktitle/text()"  # schema forbids this path
 
 
+def schema_aware(query):
+    """The schema-aware side: the schema's rewrites and schema-aware
+    compilation on XSQ-F, the engine the unaware side runs."""
+    compiled = repro.compile(query, engine="f", schema=DBLP_DTD)
+    assert compiled.engine_name in ("xsq-f", "empty")
+    return compiled
+
+
 @pytest.mark.parametrize("mode", ("schema-aware", "unaware"))
 @pytest.mark.benchmark(group="ablation-schema-closure")
 def test_closure_elimination(benchmark, cache, mode):
     path = cache.path("dblp")
     if mode == "schema-aware":
-        engine = SchemaAwareEngine(CLOSURE_QUERY, DBLP_DTD)
-        assert engine.plan.closure_free  # rewritten to child axes
+        engine = schema_aware(CLOSURE_QUERY)
+        assert not engine.query.has_closure  # rewritten to child axes
     else:
         engine = XSQEngine(CLOSURE_QUERY)
     results = benchmark(engine.run, path)
@@ -50,8 +61,8 @@ def test_closure_elimination(benchmark, cache, mode):
 def test_guaranteed_predicate(benchmark, cache, mode):
     path = cache.path("dblp")
     if mode == "schema-aware":
-        engine = SchemaAwareEngine(GUARANTEED_QUERY, DBLP_DTD)
-        assert not engine.plan.queries[0].steps[1].predicates
+        engine = schema_aware(GUARANTEED_QUERY)
+        assert not engine.query.steps[1].predicates
     else:
         engine = XSQEngine(GUARANTEED_QUERY)
     results = benchmark(engine.run, path)
@@ -63,8 +74,8 @@ def test_guaranteed_predicate(benchmark, cache, mode):
 def test_static_emptiness(benchmark, cache, mode):
     path = cache.path("dblp")
     if mode == "schema-aware":
-        engine = SchemaAwareEngine(EMPTY_QUERY, DBLP_DTD)
-        assert engine.plan.empty
+        engine = schema_aware(EMPTY_QUERY)
+        assert engine.engine_name == "empty"
     else:
         engine = XSQEngine(EMPTY_QUERY)
     results = benchmark(engine.run, path)
@@ -74,5 +85,5 @@ def test_static_emptiness(benchmark, cache, mode):
 def test_all_rewrites_preserve_results(cache):
     path = cache.path("dblp")
     for query in (CLOSURE_QUERY, GUARANTEED_QUERY, EMPTY_QUERY):
-        assert SchemaAwareEngine(query, DBLP_DTD).run(path) == \
+        assert schema_aware(query).run(path) == \
             XSQEngine(query).run(path), query

@@ -14,7 +14,13 @@ document, the wall-clock throughput of three execution strategies:
   react to it;
 * ``push``        — the same shared engine's ordered ``push()``
   session fed the document in 4 KB chunks, its ``(query_index,
-  value)`` pairs in stream order across queries (recorded, not gated).
+  value)`` pairs in stream order across queries (recorded, not gated;
+  ``push_vs_shared`` is its time over ``shared``'s).
+
+Each point also records ``union_compile_s``: a cold ``repro.compile``
+(``cache=False``) of the N-branch ``q1 | ... | qN`` query, which lowers
+every branch to XSQ-F once and generates no kernel (a single query at
+N=1; recorded, not gated).
 
 Outputs one JSON artifact (``BENCH_multiquery.json``) suitable for CI
 archiving, and with ``--check`` exits non-zero unless, at the largest
@@ -36,6 +42,7 @@ import sys
 import time
 from typing import Dict, List
 
+import repro
 from repro.api import PushSession
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
@@ -102,7 +109,11 @@ def run_point(xml: str, queries: List[str], repeats: int) -> Dict[str, float]:
         "independent_s": timed(
             lambda: [engine.run(xml) for engine in independents], repeats),
         "push_s": timed(lambda: pushed(shared, chunks), repeats),
+        "union_compile_s": timed(
+            lambda: repro.compile(" | ".join(queries), cache=False),
+            repeats),
     }
+    point["push_vs_shared"] = point["push_s"] / point["shared_s"]
     point["shared_vs_dense"] = point["dense_s"] / point["shared_s"]
     point["shared_vs_independent"] = (point["independent_s"]
                                       / point["shared_s"])
@@ -144,10 +155,12 @@ def main(argv=None) -> int:
         point = run_point(xml, workload[:size], args.repeats)
         points.append(point)
         print("N=%-4d shared=%.3fs dense=%.3fs independent=%.3fs "
-              "push=%.3fs (vs dense %.2fx, vs independent %.2fx)"
+              "push=%.3fs union_compile=%.4fs (vs dense %.2fx, "
+              "vs independent %.2fx, push/shared %.2fx)"
               % (size, point["shared_s"], point["dense_s"],
                  point["independent_s"], point["push_s"],
-                 point["shared_vs_dense"], point["shared_vs_independent"]))
+                 point["union_compile_s"], point["shared_vs_dense"],
+                 point["shared_vs_independent"], point["push_vs_shared"]))
 
     artifact = {
         "bench": "multiquery-shared-dispatch",

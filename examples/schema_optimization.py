@@ -10,7 +10,8 @@ optimization."  This example does exactly that:
 2. let the optimizer rewrite queries using the schema — dropping
    guaranteed predicates, expanding closures into deterministic child
    paths, and answering impossible queries without reading the stream;
-3. time the schema-aware plan against the schema-unaware engine.
+3. time the schema-aware compile (``repro.compile(q, schema=dtd)``)
+   against the schema-unaware XSQ-F engine.
 
 Run with::
 
@@ -19,9 +20,11 @@ Run with::
 
 import time
 
-from repro import SchemaAwareEngine, StreamingValidator, XSQEngine, parse_dtd
+import repro
+from repro import StreamingValidator, XSQEngine, parse_dtd
 from repro.datagen import generate_dblp
 from repro.streaming.sax_source import parse_events
+from repro.xsq.schema_opt import optimize
 
 DTD = parse_dtd("""
     <!ELEMENT dblp (article | inproceedings)*>
@@ -57,8 +60,9 @@ def main() -> None:
     # 2 & 3. Plan, explain, and race each query.
     for query in QUERIES:
         print("query:", query)
-        aware = SchemaAwareEngine(query, DTD)
-        print("  " + aware.explain().replace("\n", "\n  "))
+        print("  " + optimize(DTD, query).describe().replace("\n", "\n  "))
+        aware = repro.compile(query, schema=DTD)
+        print("  engine: %s" % aware.engine_name)
         start = time.perf_counter()
         optimized = aware.run(xml)
         aware_s = time.perf_counter() - start

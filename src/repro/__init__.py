@@ -57,7 +57,6 @@ from repro.xsq import (
     DispatchIndex,
     HpdtCache,
     MultiQueryEngine,
-    SchemaAwareEngine,
     BufferTrace,
     DepthVector,
     Hpdt,
@@ -89,7 +88,6 @@ __all__ = [
     "XSQEngineFast",
     "XSQEngineNC",
     "MultiQueryEngine",
-    "SchemaAwareEngine",
     "parse_dtd",
     "Dtd",
     "StreamingValidator",

@@ -35,36 +35,48 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (ClosureNotSupportedError, FastPathUnsupportedError,
-                          StreamError)
+                          StreamError, UnsupportedFeatureError)
 from repro.xpath.ast import AggregateOutput, Query
 from repro.xpath.rewrite import rewrite_reverse_axes, supports_reverse_axes
+from repro.xsq.aggregates import StatBuffer
 from repro.xsq.engine import RunStats, XSQEngine
 from repro.xsq.fastpath import XSQEngineFast
 from repro.xsq.multiquery import MultiQueryEngine
 from repro.xsq.nc import XSQEngineNC
-from repro.xsq.push import NullPushHandle
+from repro.xsq.push import MultiPushHandle, NullPushHandle
 
 QueryLike = Union[str, Query]
 
 
 class EmptyEngine:
-    """Stand-in when a rewrite proves the query matches nothing."""
+    """Stand-in when a rewrite proves the query matches nothing.
+
+    An aggregate ``output`` still has a value over no matches (its
+    empty render, e.g. ``count()`` is ``0``), returned as the only
+    result, as the other engines do.
+    """
 
     name = "empty"
     last_stats = None
     stats = None
 
-    def __init__(self, note: Optional[str] = None):
+    def __init__(self, note: Optional[str] = None, output=None):
         self.note = note
+        self._tail = ([StatBuffer(output.name).render()]
+                      if isinstance(output, AggregateOutput) else [])
 
     def run(self, _source, sink=None):
-        return sink if sink is not None else []
+        if sink is None:
+            return list(self._tail)
+        for value in self._tail:
+            sink.append(value)
+        return sink
 
     def iter_results(self, _source):
-        return iter(())
+        return iter(self._tail)
 
     def push(self, streaming_agg: bool = False):
-        return NullPushHandle(self)
+        return NullPushHandle(self, self._tail)
 
     def explain(self) -> str:
         if self.note:
@@ -72,49 +84,62 @@ class EmptyEngine:
         return "(empty query: the reverse-axis rewrite proved no matches)"
 
 
-class UnionEngine:
-    """Top-level union: grouped one-pass evaluation, doc-order merge."""
+class UnionEngine(MultiQueryEngine):
+    """Top-level union: the one union runner.
+
+    Covers a ``q1 | q2`` query and a closure the schema optimizer
+    expanded into several child-axis paths.  The branches run as one
+    query group in one pass; the group's only lowering runs every
+    branch on XSQ-F (no branch is code-generated), whose output queues
+    share one sequence counter, so the union comes out in document
+    order, a node several branches select with the same output once.
+    Results are determined at end of stream, so ``iter_results()`` and
+    push feeds yield nothing before ``finish()``.  Aggregate branches
+    are rejected: a union of scalar aggregates has no document order.
+    """
 
     name = "xsq-union"
+    merged = True
 
-    def __init__(self, branches: Sequence[QueryLike], obs=None, cache=None):
-        self.obs = obs
-        self._engine = MultiQueryEngine(branches, obs=obs, cache=cache)
+    def __init__(self, branches: Sequence[QueryLike], obs=None, *,
+                 shared_dispatch: bool = True, cache=None):
+        super().__init__(branches, obs=obs, shared_dispatch=shared_dispatch,
+                         cache=cache)
+        for query in self.queries:
+            if isinstance(query.output, AggregateOutput):
+                raise UnsupportedFeatureError(
+                    "merged union cannot include aggregate query %r"
+                    % (query.text,))
 
     def run(self, source, sink=None):
-        return self._engine._run_merged(source, sink=sink)
+        union = MultiPushHandle(self).feed_source(
+            source, queries=len(self.queries))
+        if sink is None:
+            return union
+        for value in union:
+            sink.append(value)
+        return sink
 
     def iter_results(self, source):
-        # Document-order merging needs the full pass; union queries
-        # therefore emit at end of stream.
         return iter(self.run(source))
 
     def push(self, streaming_agg: bool = False):
-        # Same end-of-stream constraint in push mode: feeds return
-        # nothing, finish() returns the merged union.
-        return self._engine.push(merged=True)
-
-    @property
-    def last_stats(self) -> Optional[RunStats]:
-        return self.stats
-
-    @property
-    def stats(self) -> Optional[RunStats]:
-        return self._engine.stats
+        return MultiPushHandle(self)
 
     def explain(self) -> str:
-        parts = [h.describe() for h in self._engine.hpdts]
-        index = self._engine.index
-        if index is not None:
-            shape = index.stats()
+        parts = [h.describe() for h in self.hpdts]
+        if self.index is not None:
+            shape = self.index.stats()
             parts.append(
                 "shared dispatch: %d queries, %d tag buckets, "
                 "%d greedy, max fanout %d"
                 % (shape["queries"], shape["buckets"], shape["greedy"],
                    shape["max_bucket"]))
-        parts.append("\n".join(
-            self._engine.member_selection_notes(merged=True)))
+        parts.append("\n".join(self.member_selection_notes()))
         return "\n\n".join(parts)
+
+    def __repr__(self):
+        return "<UnionEngine %d branches>" % len(self.queries)
 
 
 def _record_selection(obs, engine_name: str, mode: str,
@@ -211,7 +236,8 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
         if schema_plan.empty:
             engine = EmptyEngine(
                 "statically empty under the attached DTD"
-                + ("".join("; " + note for note in schema_plan.notes)))
+                + ("".join("; " + note for note in schema_plan.notes)),
+                output=schema_plan.original.output)
             engine.schema_plan = schema_plan
             return engine
         if schema_plan.is_union and choice == "auto" \

@@ -93,7 +93,13 @@ def measure_throughput(adapter: SystemAdapter, query: str, path: str,
 
     Phases are timed separately so Figure 18 can split the stacked bar.
     Each repeat starts from a collected heap, so a cyclic collection of
-    garbage an earlier run left behind is not charged to this one.
+    garbage an earlier run left behind is not charged to this one, and
+    runs with that heap frozen (:func:`gc.freeze`), so the full
+    collections the run itself triggers traverse only what the run
+    allocates.  Otherwise every run pays for whatever else the calling
+    process holds: about 0.2 s per 1 MB run at 100k live objects (a
+    test session's heap), a constant that shrinks every ratio between
+    runs toward 1.
     ``obs`` accepts an :class:`repro.obs.Observability` bundle: each
     repeat becomes a ``measure`` span (with the adapter's phase spans
     nested underneath) and the best run's numbers land in the metrics
@@ -109,15 +115,23 @@ def measure_throughput(adapter: SystemAdapter, query: str, path: str,
             span = (obs.span("measure", system=adapter.name, query=query)
                     if obs is not None else None)
             gc.collect()
-            if span is not None:
-                span.__enter__()
-            t0 = time.perf_counter()
-            engine = adapter.compile(query)
-            t1 = time.perf_counter()
-            adapter.preprocess(engine, path)
-            t2 = time.perf_counter()
-            results = adapter.query(engine, path)
-            t3 = time.perf_counter()
+            # A caller that froze the heap itself keeps its freeze.
+            freeze = gc.get_freeze_count() == 0
+            if freeze:
+                gc.freeze()
+            try:
+                if span is not None:
+                    span.__enter__()
+                t0 = time.perf_counter()
+                engine = adapter.compile(query)
+                t1 = time.perf_counter()
+                adapter.preprocess(engine, path)
+                t2 = time.perf_counter()
+                results = adapter.query(engine, path)
+                t3 = time.perf_counter()
+            finally:
+                if freeze:
+                    gc.unfreeze()
             if span is not None:
                 span.__exit__(None, None, None)
             run = ThroughputMeasurement(

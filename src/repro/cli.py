@@ -103,20 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def pick_engine(query: str, choice: str, schema=None):
-    """Engine selection: NC when the query allows it and NC is eligible.
-
-    Reverse-axis syntax (``parent::``, ``..``, ``self::``) is rewritten
-    into forward-only form first (Section 5's cited technique); a
-    rewrite that proves the query empty short-circuits entirely.
-    ``schema`` (a parsed DTD, from ``--dtd``) makes the selection and
-    the compiled runtime schema-aware.  Delegates to
-    :func:`repro.api.select_engine`, the facade's rules.
-    """
-    from repro.api import select_engine
-    return select_engine(query, choice, schema=schema)
-
-
 def _run_queries_file(args) -> int:
     """Batch mode: every query in the file, one pass over the input."""
     from repro.xsq.multiquery import MultiQueryEngine
@@ -171,17 +157,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser.add_argument("--flame", action="store_true",
                         help="print the span tree (phase timings)")
     return parser
-
-
-def _pick_traced_engine(query: str, choice: str, obs, schema=None):
-    """Engine selection for ``xsq trace``: same rules, obs attached.
-
-    Union queries trace through the grouped engine (one pass, shared
-    dispatch); the ``--explain`` output then includes the dispatch-index
-    shape alongside each member HPDT.
-    """
-    from repro.api import select_engine
-    return select_engine(query, choice, obs=obs, schema=schema)
 
 
 def build_top_parser() -> argparse.ArgumentParser:
@@ -398,6 +373,7 @@ def top_main(argv=None) -> int:
 
 def trace_main(argv=None) -> int:
     """The ``xsq trace`` / ``repro trace`` subcommand."""
+    from repro.api import select_engine
     from repro.obs import Observability
 
     args = build_trace_parser().parse_args(argv)
@@ -408,8 +384,11 @@ def trace_main(argv=None) -> int:
             from repro.streaming.dtd import parse_dtd
             with open(args.dtd, "r", encoding="utf-8") as dtd_file:
                 dtd = parse_dtd(dtd_file.read())
-        engine = _pick_traced_engine(args.query, args.engine, obs,
-                                     schema=dtd)
+        # A union traces through the grouped engine (one pass, shared
+        # dispatch); --explain then prints the dispatch-index shape
+        # beside each member HPDT.
+        engine = select_engine(args.query, args.engine, obs=obs,
+                               schema=dtd)
         source = args.file if args.file is not None else _stdin_source()
         results = engine.run(source)
         print("# results (%d)" % len(results))
@@ -817,6 +796,7 @@ def _dispatch(argv) -> int:
         return push_serve_main(argv[1:])
     if argv and argv[0] == "flight-dump":
         return flight_dump_main(argv[1:])
+    from repro.api import select_engine
     args = build_parser().parse_args(argv)
     try:
         if args.queries_file is not None:
@@ -832,13 +812,13 @@ def _dispatch(argv) -> int:
                 dtd = parse_dtd(dtd_file.read())
         if args.explain or args.dot:
             if dtd is not None and not args.dot:
-                engine = pick_engine(args.query, args.engine, schema=dtd)
+                engine = select_engine(args.query, args.engine, schema=dtd)
                 print(engine.explain())
                 return 0
             hpdt = Hpdt(args.query)
             print(hpdt.to_dot() if args.dot else hpdt.describe())
             return 0
-        engine = pick_engine(args.query, args.engine, schema=dtd)
+        engine = select_engine(args.query, args.engine, schema=dtd)
         source = args.file if args.file is not None else _stdin_source()
         if dtd is not None or args.check:
             # Compose validators into the same single pass the engine
@@ -862,8 +842,8 @@ def _dispatch(argv) -> int:
         with ResultWriter(sys.stdout, args.format,
                           values_are_markup=markup) as writer:
             writer.write_all(values)
-        if args.stats and engine.last_stats is not None:
-            print("# engine=%s %s" % (engine.name, engine.last_stats),
+        if args.stats and engine.stats is not None:
+            print("# engine=%s %s" % (engine.name, engine.stats),
                   file=sys.stderr)
         return 0
     except ReproError as exc:

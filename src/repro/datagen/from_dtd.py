@@ -10,8 +10,9 @@ accepting; recursion is tamed by a depth budget past which the walk
 takes a shortest path to acceptance.
 
 Used by ``tests/test_from_dtd.py``'s differential properties:
-generated documents always validate, and `SchemaAwareEngine` must
-agree with the plain engine on every one of them.
+generated documents always validate, and ``repro.compile(query,
+schema=dtd)`` must agree with the schema-free compile on every one of
+them.
 """
 
 from __future__ import annotations

@@ -172,6 +172,19 @@ class Observability:
                   **labels):
         return self.metrics.histogram(name, help, buckets=buckets, **labels)
 
+    @property
+    def per_event(self) -> bool:
+        """Does the bundle carry an instrument that must see each event
+        inside the runtime (event trace, accountant, per-event timing)?
+
+        Generated kernels have no per-event hook points, so such a
+        bundle runs a single query and every query-group member on the
+        interpreted runtimes; spans, metrics and the profiler keep the
+        kernels.
+        """
+        return (self.events is not None or self.accounting is not None
+                or self.per_event_timing)
+
     # -- engine hooks -----------------------------------------------------
 
     def event_hook(self):

@@ -23,19 +23,10 @@ from __future__ import annotations
 import io
 import re
 import sys
-from typing import IO, Iterator, List, Optional, Union
+from typing import IO, Iterator, List, Union
 
 from repro.errors import StreamError
-from repro.streaming.events import (
-    BEGIN,
-    END,
-    TEXT,
-    Batch,
-    BeginEvent,
-    EndEvent,
-    Event,
-    TextEvent,
-)
+from repro.streaming.events import BeginEvent, EndEvent, Event, TextEvent
 
 _NAME = r"[A-Za-z_:][A-Za-z0-9_.:\-]*"
 _ATTR_RE = re.compile(
@@ -163,83 +154,6 @@ class TextEventSource:
         if tag_stack:
             raise StreamError("document ended with open elements: %s"
                               % "/".join(tag_stack))
-
-    def batches(self, tags, batch_size: int = 2048) -> Iterator[Batch]:
-        """Yield chunks of ``(kind, tag_id, payload, depth)`` tuples.
-
-        The pure-Python twin of
-        :meth:`repro.streaming.sax_source.SaxEventSource.batches`: same
-        tuples, same order, tags interned once into ``tags`` (a
-        :class:`repro.xsq.fastpath.TagTable`), no Event allocation, and
-        the same projection on a closed table (a tag it lacks, with its
-        element's text, is counted in ``Batch.dropped``, not built).
-        """
-        intern_tag = tags.intern
-        self._buf = ""
-        self._pos = 0
-        self._eof = False
-        depth = 0
-        tid_stack: List[Optional[int]] = []
-        batch = Batch()
-        dropped = 0
-        try:
-            while True:
-                try:
-                    token = self._next_token(bool(tid_stack))
-                except _Starved:
-                    self._read_more()
-                    continue
-                if token is None:
-                    break
-                kind, payload = token
-                if kind == "text":
-                    if tid_stack:
-                        if tid_stack[-1] is None:
-                            dropped += 1
-                        else:
-                            batch.append((TEXT, tid_stack[-1], payload,
-                                          depth))
-                    elif payload.strip():
-                        raise StreamError("text outside document element")
-                elif kind == "begin":
-                    tag, attrs, self_closing = payload
-                    depth += 1
-                    tid = intern_tag(tag)
-                    if tid is None:
-                        dropped += 2 if self_closing else 1
-                    else:
-                        batch.append((BEGIN, tid, attrs, depth))
-                        if self_closing:
-                            batch.append((END, tid, None, depth))
-                    if self_closing:
-                        depth -= 1
-                    else:
-                        tid_stack.append(tid)
-                elif kind == "end":
-                    if not tid_stack:
-                        raise StreamError(
-                            "close tag %r with no open element" % payload)
-                    tid = tid_stack.pop()
-                    if tid is None:
-                        dropped += 1
-                    else:
-                        batch.append((END, tid, None, depth))
-                    depth -= 1
-                if len(batch) >= batch_size:
-                    batch.dropped = dropped
-                    yield batch
-                    batch = Batch()
-                    dropped = 0
-        finally:
-            self._stream.close()
-        if tid_stack:
-            raise StreamError("document ended with open elements: %s"
-                              % "/".join("?" if tid is None
-                                         else tags.names[tid]
-                                         for tid in tid_stack))
-        if batch or dropped:
-            batch.dropped = dropped
-            yield batch
 
     def _read_more(self) -> bool:
         """Append one chunk to the buffer; return False at end of input."""

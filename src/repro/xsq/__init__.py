@@ -37,7 +37,7 @@ from repro.xsq.hpdt import Hpdt
 from repro.xsq.matcher import MatcherRuntime, PredicateInstance
 from repro.xsq.multiquery import MultiQueryEngine
 from repro.xsq.nc import XSQEngineNC
-from repro.xsq.schema_opt import Plan, SchemaAwareEngine, optimize
+from repro.xsq.schema_opt import Plan, optimize
 
 __all__ = [
     "StatBuffer",
@@ -61,7 +61,6 @@ __all__ = [
     "TagTable",
     "compile_fastplan",
     "MultiQueryEngine",
-    "SchemaAwareEngine",
     "Plan",
     "optimize",
     "Hpdt",

@@ -781,10 +781,11 @@ class XSQEngineFast(_QueryEngine):
     counters; construction raises
     :class:`~repro.errors.FastPathUnsupportedError` when the query or
     the observability configuration needs an interpreted runtime.
-    ``obs`` bundles carrying only spans and metrics are accepted (run
-    stats and phase spans are recorded); per-event instrumentation
-    (event trace, accounting, per-event timing) forces the fallback —
-    by design, the fast path has no per-event hook points.
+    ``obs`` bundles carrying only spans, metrics or the profiler are
+    accepted (run stats and phase spans are recorded); a bundle with
+    per-event instruments (:attr:`repro.obs.Observability.per_event`)
+    forces the fallback — by design, the fast path has no per-event
+    hook points.
     """
 
     name = "xsq-fast"
@@ -795,9 +796,7 @@ class XSQEngineFast(_QueryEngine):
 
     def __init__(self, query: Union[str, Query], obs=None, *, cache=None,
                  schema=None):
-        if obs is not None and (obs.events is not None
-                                or obs.accounting is not None
-                                or obs.per_event_timing):
+        if obs is not None and obs.per_event:
             raise FastPathUnsupportedError(
                 "per-event observability (event trace, accounting, "
                 "per-event timing) needs an interpreted runtime",

@@ -28,21 +28,26 @@ Every result mode is the one group session
 * :meth:`MultiQueryEngine.iter_results` and :meth:`MultiQueryEngine.push`
   — incremental ``(query_index, value)`` pairs as results are
   determined, interleaved in stream order;
-* merged (via :func:`repro.compile` on a union query, or the
-  schema-aware optimizer) — one union result list in global document
-  order.  The merged session stamps every buffered item from a *shared*
+* :class:`repro.api.UnionEngine`, the one union runner (a top-level
+  ``|`` query, or a closure the schema optimizer expanded into several
+  child-axis paths) — one union result list in global document order.
+  Its members' output queues stamp every buffered item from a *shared*
   sequence counter, so document order across the member queries is
   just item order.
 
-The engine lowers its members once, at construction: every member that
-lowers to a generated kernel against the group's one shared
-:class:`~repro.xsq.fastpath.TagTable` — child-axis paths, and closure
-paths without predicates or element output — runs it on its
-route-partitioned share of each parser batch, and the rest run XSQ-F's
-matcher, all fed from one parse.  An ``obs`` bundle, the dense loop and
-the merged union lower every member to XSQ-F instead.  Sessions that
-promise order across members (``push()``, ``iter_results()``, the
-union, any ``obs`` session) feed that loop one tuple at a time.
+The engine lowers its members once, at construction, and that is its
+only lowering: every member that lowers to a generated kernel against
+the group's one shared :class:`~repro.xsq.fastpath.TagTable` —
+child-axis paths, and closure paths without predicates or element
+output — runs it on its route-partitioned share of each parser batch,
+and the rest run XSQ-F's matcher, all fed from one parse.  A union
+(whose order comes from XSQ-F's sequence counter), the dense loop, a
+profiler (whose dispatch timer wraps matchers only) and an ``obs``
+bundle with per-event instruments
+(:attr:`repro.obs.Observability.per_event`) lower every member to
+XSQ-F instead; a spans-and-metrics bundle keeps the kernels.  Sessions
+that promise order across members (``push()``, ``iter_results()``,
+the union, any ``obs`` session) feed each tuple to its route alone.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ class MultiQueryEngine:
     """
 
     name = "multiquery"
+    #: True on :class:`repro.api.UnionEngine`: sessions return the
+    #: document-order union and every member runs XSQ-F.
+    merged = False
 
     def __init__(self, queries: Sequence[Union[str, Query]], obs=None, *,
                  shared_dispatch: bool = True, cache=None):
@@ -97,13 +105,16 @@ class MultiQueryEngine:
         self.member_fallbacks: List[Optional[str]] = [None] * count
         self.member_kernel_notes: List[Optional[str]] = [None] * count
         self.fast_group_note: Optional[str] = (
-            "per-event observability needs the interpreted runtimes"
-            if obs is not None else
+            "a union orders items by XSQ-F's shared sequence counter"
+            if self.merged else
             "shared_dispatch=False pins the interpreted dense loop"
-            if self.index is None else None)
-        # The lowering every session but the merged union runs on.
-        self._fast = self._try_fastplans()
-        self._union_fast = None
+            if self.index is None else
+            "per-event observability needs the interpreted runtimes"
+            if obs is not None and obs.per_event else
+            "the profiler's dispatch timer wraps matchers only"
+            if obs is not None and obs.profiler is not None else None)
+        # The one lowering every session of this engine runs on.
+        self._fast = self._lower()
         self.last_stats: Optional[List[RunStats]] = None
         if obs is not None and self.index is not None:
             shape = self.index.stats()
@@ -135,7 +146,7 @@ class MultiQueryEngine:
             return None
         return RunStats.merged(self.last_stats)
 
-    def _try_fastplans(self, interpreted: bool = False):
+    def _lower(self):
         """Lower every member for the group session: ``(tags, plans,
         routes, default)``.
 
@@ -147,21 +158,22 @@ class MultiQueryEngine:
         kernels.  Each route splits the members an event's tag id
         reaches into ``(kernel members, interpreted members)``.
 
-        With ``interpreted``, an ``obs`` bundle or the dense loop every
-        plan is ``None``.  The dense loop routes every tuple to every
-        member.  An ``obs`` lowering keeps the table open, so the event
-        hooks see every event; otherwise, when no member is greedy (no
-        member needs every tag), the table is closed once the id routes
-        have interned every bucketed tag, so the group's parser projects
-        the stream.  Per-member outcomes (fallback slugs, kernel notes)
-        land on :attr:`member_fallbacks` / :attr:`member_kernel_notes`
-        for ``explain()``.
+        When :attr:`fast_group_note` names a reason (a union, the dense
+        loop, a per-event or profiling ``obs`` bundle) every plan is
+        ``None`` and nothing is code-generated.  The dense loop routes
+        every tuple to every member.  An ``obs`` lowering keeps the
+        table open, so the instruments see every event; otherwise, when
+        no member is greedy (no member needs every tag), the table is
+        closed once the id routes have interned every bucketed tag, so
+        the group's parser projects the stream.  Per-member outcomes
+        (fallback slugs, kernel notes) land on :attr:`member_fallbacks`
+        / :attr:`member_kernel_notes` for ``explain()``.
         """
         tags = TagTable()
         plans: List[Optional[FastPlan]] = [None] * len(self.hpdts)
         if self.index is None:
             return tags, plans, {}, ((), tuple(range(len(plans))))
-        if not interpreted and self.obs is None:
+        if self.fast_group_note is None:
             from repro.xsq.codegen import compile_kernel
             for i, hpdt in enumerate(self.hpdts):
                 try:
@@ -184,35 +196,21 @@ class MultiQueryEngine:
                 {tid: split(members) for tid, members in routes.items()},
                 split(default))
 
-    def _merged_lowering(self):
-        """The all-XSQ-F lowering the merged union runs on (its items
-        need the interpreted output queues' shared sequence counter);
-        built on first use."""
-        if self._union_fast is None:
-            interpreted = all(plan is None for plan in self._fast[1])
-            self._union_fast = (self._fast if interpreted
-                                else self._try_fastplans(interpreted=True))
-        return self._union_fast
-
     @property
     def member_runtimes(self) -> List[str]:
-        """The runtime each member runs in this engine's sessions other
-        than the merged union: ``kernel`` or ``xsq-f``."""
+        """The runtime each member runs: ``kernel`` or ``xsq-f``."""
         return ["kernel" if plan is not None else "xsq-f"
                 for plan in self._fast[1]]
 
-    def member_selection_notes(self, merged: bool = False) -> List[str]:
+    def member_selection_notes(self) -> List[str]:
         """One engine-selection note per member query, for explain():
-        its runtime (in the merged union's session with ``merged``),
-        and its parser projection on a second line."""
-        runtimes = (["xsq-f"] * len(self.queries) if merged
-                    else self.member_runtimes)
+        its runtime and why, and its parser projection on a second
+        line."""
         notes = []
-        for i, (query, runtime) in enumerate(zip(self.queries, runtimes)):
+        for i, (query, runtime) in enumerate(zip(self.queries,
+                                                 self.member_runtimes)):
             if runtime == "kernel":
                 why = self.member_kernel_notes[i]
-            elif merged:
-                why = "the merged union orders items by XSQ-F's sequence"
             elif self.member_fallbacks[i] is not None:
                 why = "fast path not selected: %s" % self.member_fallbacks[i]
             else:
@@ -255,35 +253,16 @@ class MultiQueryEngine:
         from repro.xsq.push import MultiPushHandle
         yield from MultiPushHandle(self).iter_source(source)
 
-    def _run_merged(self, source, sink=None) -> List[str]:
-        """Union of all member queries' results, in document order.
-
-        Member queries must not be aggregates (a merged union of scalar
-        aggregates has no document order); aggregate members raise
-        :class:`UnsupportedFeatureError`.
-        """
-        from repro.xsq.push import MultiPushHandle
-        union = MultiPushHandle(self, merged=True).feed_source(
-            source, queries=len(self.queries))
-        if sink is None:
-            return union
-        for value in union:
-            sink.append(value)
-        return sink
-
-    def push(self, merged: bool = False):
+    def push(self):
         """Open a push session over all member queries for one document.
 
         The returned :class:`~repro.xsq.push.MultiPushHandle` exposes
         ``feed_batch(batch)`` and ``feed_events(events)`` yielding
         ``(query_index, value)`` pairs incrementally, in stream order
-        (the :meth:`iter_results` shape), or — with ``merged=True`` —
-        buffering for a document-order union returned by ``finish()``
-        (the merged shape).  Merged mode rejects aggregate members for
-        the same reason :meth:`_run_merged` does.
+        (the :meth:`iter_results` shape).
         """
         from repro.xsq.push import MultiPushHandle
-        return MultiPushHandle(self, merged=merged)
+        return MultiPushHandle(self)
 
     def __repr__(self):
         return "<MultiQueryEngine %d queries>" % len(self.queries)

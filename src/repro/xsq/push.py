@@ -20,7 +20,9 @@ by a different caller:
 There is one session per runtime kind: :class:`EventPushHandle`
 (interpreted single query, fed events), :class:`FastPushHandle`
 (generated kernel, fed batches), :class:`MultiPushHandle` (a query
-group, each member on its kernel or XSQ-F, fed batches) and
+group, each member on the runtime the engine lowered it to — its
+kernel or XSQ-F — fed batches; a union's group runs every member on
+XSQ-F and returns the document-order union at ``finish()``) and
 :class:`NullPushHandle` (the empty query).  Concatenating every
 feed's results plus ``finish()`` equals ``run()``, for any split (the
 chunk-split differential suite proves it byte-for-byte).
@@ -51,7 +53,7 @@ import itertools
 import time
 from typing import List, Tuple
 
-from repro.errors import StreamError, UnsupportedFeatureError
+from repro.errors import StreamError
 from repro.streaming.events import (BEGIN, END, BeginEvent, EndEvent,
                                      TextEvent, batch_events)
 from repro.streaming.source import coerce_source
@@ -360,20 +362,22 @@ class MultiPushHandle(_Session):
     give each member's results in document order, grouped by member:
     ``run()`` and the serve broker open such a session
     (``ordered=False``).  An ordered session binds :meth:`feed_batch`
-    to :meth:`_feed_ordered`, the same loop run one tuple at a time, so
+    to :meth:`_feed_ordered`, which hands each tuple to its route's
+    members alone and drains their sinks before the next tuple, so
     feeds return pairs in stream order across members: ``push()``,
     ``iter_results()``, the merged union and any ``obs`` session (whose
-    event hooks and profiler mark run before each tuple) are ordered.
+    event hooks, profiler mark and fanout histogram run before each
+    tuple) are ordered.
 
     Three result shapes:
 
     * default: every feed returns ``(query_index, value)`` pairs;
       aggregate members surface their final value at ``finish()``;
-    * ``merged=True``: the union.  Every member runs XSQ-F, feeds return
-      nothing, and ``finish()`` returns the document-order union,
-      through a sequence counter shared by every member's queue.  A
-      node that several members select with the same output is
-      returned once;
+    * a :class:`repro.api.UnionEngine` (``engine.merged``): the union.
+      Every member runs XSQ-F, feeds return nothing, and ``finish()``
+      returns the document-order union, through a sequence counter
+      shared by every member's queue.  A node that several members
+      select with the same output is returned once;
     * ``drain=False``: ``run()``'s session.  Results stay in ``sinks``
       and ``finish()`` returns the per-query result lists.
 
@@ -385,15 +389,10 @@ class MultiPushHandle(_Session):
 
     feed_mode = FEED_BATCH
 
-    def __init__(self, engine, merged: bool = False, sinks=None,
-                 drain: bool = True, ordered: bool = True):
+    def __init__(self, engine, sinks=None, drain: bool = True,
+                 ordered: bool = True):
         queries = engine.queries
-        if merged:
-            for query in queries:
-                if isinstance(query.output, AggregateOutput):
-                    raise UnsupportedFeatureError(
-                        "merged union cannot include aggregate query %r"
-                        % (query.text,))
+        merged = engine.merged
         super().__init__(engine)
         if sinks is None:
             sinks = [[] for _ in queries]
@@ -406,8 +405,7 @@ class MultiPushHandle(_Session):
         self._stats = [StatBuffer(query.output.name)
                        if isinstance(query.output, AggregateOutput)
                        else None for query in queries]
-        tags, plans, routes, default = (engine._merged_lowering() if merged
-                                        else engine._fast)
+        tags, plans, routes, default = engine._fast
         self.tags = tags
         self._names = tags.names
         self._routes_get = routes.get
@@ -465,7 +463,7 @@ class MultiPushHandle(_Session):
         if obs is not None:
             mark = None
             if obs.profiler is not None:
-                # An obs lowering runs every member on the matcher.
+                # A profiled lowering runs every member on the matcher.
                 mark, tables = obs.profiler.timed_dispatch(
                     engine.name, runtimes, [query.text for query in queries])
             self._observe = self._observer(obs, mark)
@@ -474,6 +472,23 @@ class MultiPushHandle(_Session):
                          in enumerate(zip(sinks, self._stats))
                          if stat is None] if drain else []
         if ordered or merged or obs is not None:
+            # Per route, what one tuple touches: its kernel members'
+            # run_batch, its matchers, and the sinks to drain after it
+            # (member order, so ties come out in member order).
+            self._tables = tables
+            drained = dict(self._drained)
+
+            def touch(route):
+                kernels, matchers = route
+                return (tuple(runtimes[i].run_batch for i in kernels),
+                        matchers,
+                        tuple((i, drained[i]) for i in sorted(kernels
+                                                              + matchers)
+                              if i in drained))
+
+            self._touch_get = {tid: touch(route)
+                               for tid, route in routes.items()}.get
+            self._touch_default = touch(default)
             self.feed_batch = self._feed_ordered
 
     def _observer(self, obs, mark):
@@ -555,22 +570,42 @@ class MultiPushHandle(_Session):
         return out
 
     def _feed_ordered(self, batch: list) -> List[Tuple[int, object]]:
-        """:meth:`feed_batch` one tuple at a time: each tuple's pairs
-        come out before the next tuple's, so pairs interleave across
-        members in stream order (ties in member order)."""
+        """:meth:`feed_batch` one tuple at a time: each tuple runs only
+        its route's kernel members and matchers, and their pairs come
+        out before the next tuple's, so pairs interleave across members
+        in stream order (ties in member order).  The event count
+        advances before each tuple's handlers run: the merged union's
+        node-set dedupe keys on it."""
         if self.closed:
             raise StreamError(_CLOSED)
         latency = self.latency
         if latency is not None:
             latency.handle_entry()
-        self._count += getattr(batch, "dropped", 0)
-        feed = MultiPushHandle.feed_batch
+        count = self._count + getattr(batch, "dropped", 0)
+        touch_get = self._touch_get
+        default = self._touch_default
+        names = self._names
+        tables = self._tables
         observe = self._observe
         out: list = []
         for event in batch:
+            count += 1
+            self._count = count
             if observe is not None:
                 observe(event)
-            out += feed(self, (event,))
+            runs, matchers, drained = touch_get(event[1], default)
+            for run_batch in runs:
+                run_batch((event,))
+            if matchers:
+                table = tables[event[0]]
+                shared = _event_of(event, names)
+                for i in matchers:
+                    table[i](shared)
+            for i, sink in drained:
+                if sink:
+                    out.extend((i, value) for value in sink)
+                    del sink[:]
+        self._count = count
         if latency is not None:
             latency.emitted(len(out))
         return out
@@ -625,7 +660,16 @@ class MultiPushHandle(_Session):
 
 
 class NullPushHandle(_Session):
-    """Session for the empty-rewritten query: counts and discards."""
+    """Session for a query proven empty: counts and discards events;
+    ``finish()`` returns ``tail`` (an aggregate's value over no
+    matches, e.g. ``count()`` is 0)."""
+
+    def __init__(self, engine, tail=()):
+        super().__init__(engine)
+        self._tail = list(tail)
+
+    def _finish(self) -> list:
+        return list(self._tail)
 
     def feed_events(self, events) -> list:
         if self.closed:

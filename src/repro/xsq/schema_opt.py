@@ -25,14 +25,17 @@ transformations before the HPDT is built:
 3. **Closure elimination.**  On a non-recursive DTD, ``//`` steps are
    expanded into the finitely many child-axis paths the schema allows.
    If exactly one path survives, the query becomes deterministic and
-   runs on XSQ-NC; several paths run as a grouped union in one pass
-   (:class:`repro.xsq.multiquery.MultiQueryEngine`).  Recursive DTDs —
+   runs on the fast tiers; several paths run as a grouped union in one
+   pass (:class:`repro.api.UnionEngine`).  Recursive DTDs —
    35 of 60 real DTDs per the survey the paper cites — are left to
    XSQ-F, whose nondeterministic machinery exists precisely for them.
 
-:class:`SchemaAwareEngine` packages the pipeline behind the same
-``run``/``iter_results`` interface as the other engines, and exposes
-the applied transformations via :attr:`SchemaAwareEngine.plan`.
+:func:`optimize` returns the outcome as a :class:`Plan` (for
+inspection: ``Plan.describe()``).  Running a query schema-aware is
+``repro.compile(query, schema=dtd)``: :func:`repro.api.select_engine`
+applies these rewrites first, runs a several-path expansion on
+:class:`repro.api.UnionEngine` and compiles the chosen engine
+schema-aware (:mod:`repro.xsq.schema_compile`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, \
 
 from repro.streaming.dtd import ContentModel, Dtd, Expr, Nothing
 from repro.xpath.ast import (
-    AggregateOutput,
     AttrExists,
     Axis,
     ChildAttrCompare,
@@ -61,10 +63,6 @@ from repro.xpath.ast import (
     TextExists,
 )
 from repro.xpath.parser import parse_query
-from repro.xsq.aggregates import StatBuffer
-from repro.xsq.engine import XSQEngine
-from repro.xsq.multiquery import MultiQueryEngine
-from repro.xsq.nc import XSQEngineNC
 
 #: Abort closure expansion past this many union branches.
 MAX_EXPANSIONS = 64
@@ -421,71 +419,3 @@ def _paths_to_test(dtd: Dtd, starts: List[str], step: LocationStep,
         for start in starts:
             for child in _allowed_children(dtd, start):
                 yield from walk(child, [])
-
-
-# ---------------------------------------------------------------------------
-# Engine facade
-# ---------------------------------------------------------------------------
-
-class SchemaAwareEngine:
-    """XSQ with schema knowledge: plan first, then run the best engine.
-
-    * statically empty plan → no stream access at all;
-    * single closure-free plan → XSQ-NC (deterministic);
-    * single plan with closures → XSQ-F;
-    * union plan → grouped one-pass execution with document-order merge
-      (falls back to XSQ-F on the original query for aggregates, whose
-      union cannot be order-merged).
-    """
-
-    name = "xsq-schema"
-
-    def __init__(self, query: Union[str, Query], dtd: Dtd,
-                 max_expansions: int = MAX_EXPANSIONS):
-        self.original = (parse_query(query) if isinstance(query, str)
-                         else query)
-        self.dtd = dtd
-        self.plan = optimize(dtd, self.original, max_expansions)
-        self._engine = None
-        self._multi: Optional[MultiQueryEngine] = None
-        if self.plan.empty:
-            return
-        if self.plan.is_union:
-            if isinstance(self.original.output, AggregateOutput):
-                self.plan.notes.append(
-                    "union of aggregates cannot be merged; "
-                    "falling back to XSQ-F on the original query")
-                self.plan.queries = [self.original]
-                self._engine = XSQEngine(self.original)
-            else:
-                self._multi = MultiQueryEngine(self.plan.queries)
-        else:
-            target = self.plan.queries[0]
-            if target.has_closure:
-                self._engine = XSQEngine(target)
-            else:
-                self._engine = XSQEngineNC(target)
-        if self._engine is not None:
-            self.plan.notes.append("engine: %s" % self._engine.name)
-        elif self._multi is not None:
-            self.plan.notes.append(
-                "engine: grouped x%d (one pass)" % self._multi.query_count)
-
-    def run(self, source) -> List[str]:
-        if self.plan.empty:
-            return self._empty_answer()
-        if self._multi is not None:
-            return self._multi._run_merged(source)
-        return self._engine.run(source)
-
-    def _empty_answer(self) -> List[str]:
-        output = self.original.output
-        if isinstance(output, AggregateOutput):
-            return [StatBuffer(output.name).render()]
-        return []
-
-    def explain(self) -> str:
-        return self.plan.describe()
-
-    def __repr__(self):
-        return "<SchemaAwareEngine %r>" % (self.original.text,)

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 import repro
+from repro.api import UnionEngine
 from repro.errors import ClosureNotSupportedError, UnsupportedFeatureError
 from repro.xsq.compile_cache import DEFAULT_CACHE, HpdtCache, compile_hpdt
 from repro.xsq.engine import RunStats, XSQEngine
@@ -272,6 +273,7 @@ class TestMultiQueryKeywords:
                    for key in snapshot)
 
     def test_union_merge_still_rejects_aggregates(self):
-        engine = MultiQueryEngine(["/a/count()"])
         with pytest.raises(UnsupportedFeatureError):
-            engine._run_merged("<a/>")
+            UnionEngine(["/a/count()"]).run("<a/>")
+        with pytest.raises(UnsupportedFeatureError):
+            repro.compile("/a/count() | /a/b/text()")

@@ -1,13 +1,15 @@
-"""Text coalescing in the batched parser boundaries.
+"""Text coalescing at the parser boundaries.
 
-``SaxEventSource.batches()`` / ``TextEventSource.batches()`` must
-deliver exactly the event stream their unbatched ``iter()`` twins
-deliver — one TEXT tuple per run of text, flushed only at element
-boundaries — no matter where the input is split: CDATA sections, entity
-references, comments interrupting a text run, or plain text cut by a
-tiny read-chunk size.  These are the regression tests for that
-equivalence (the fast path consumes batches; the interpreted engines
-consume events; both must see the same document).
+``SaxEventSource.batches()`` must deliver exactly the event stream its
+unbatched ``iter()`` twin delivers — one TEXT tuple per run of text,
+flushed only at element boundaries — no matter where the input is
+split: CDATA sections, entity references, comments interrupting a text
+run, or plain text cut by a tiny read-chunk size.  The fast path
+consumes batches; the interpreted engines consume events; both must
+see the same document.  The pure-Python tokenizer (``TextEventSource``,
+the PureParser baseline's parser) yields events only; its stream, put
+through the ``batch_events`` adapter a batch-fed session applies to
+plain events, must describe the same document at any read-chunk size.
 """
 
 import pytest
@@ -135,35 +137,39 @@ class TestSaxBatchesCoalescing:
 
 
 class TestTextBatchesCoalescing:
+    """The tokenizer's events through ``batch_events``."""
+
     @pytest.mark.parametrize("name", sorted(DOCS))
     @pytest.mark.parametrize("chunk_size", [3, 7, 64 * 1024])
     def test_batched_equals_unbatched(self, name, chunk_size):
         doc = DOCS[name]
+        events = list(TextEventSource(doc, chunk_size=chunk_size))
         tags = TagTable()
         batched = flatten_batches(
-            TextEventSource(doc, chunk_size=chunk_size).batches(tags), tags)
-        unbatched = from_events(TextEventSource(doc, chunk_size=chunk_size))
-        assert batched == unbatched
+            batch_events(iter(events), tags, batch_size=chunk_size), tags)
+        kinds = {"begin": BEGIN, "text": TEXT, "end": END}
+        assert batched == [
+            (kinds[event.kind], event.tag,
+             event.attrs if event.kind == "begin"
+             else event.text if event.kind == "text" else None,
+             event.depth)
+            for event in events]
 
     @pytest.mark.parametrize("name", sorted(DOCS))
     def test_chunk_size_never_shows(self, name):
         doc = DOCS[name]
-        tags = TagTable()
-        tiny = normalized(flatten_batches(
-            TextEventSource(doc, chunk_size=2).batches(tags), tags))
-        tags2 = TagTable()
-        whole = normalized(flatten_batches(
-            TextEventSource(doc, chunk_size=1 << 20).batches(tags2), tags2))
+        tiny = normalized(from_events(TextEventSource(doc, chunk_size=2)))
+        whole = normalized(from_events(
+            TextEventSource(doc, chunk_size=1 << 20)))
         assert tiny == whole
 
     @pytest.mark.parametrize("name", sorted(DOCS))
     def test_agrees_with_sax_source(self, name):
         """Both parser boundaries describe the same document."""
         doc = DOCS[name]
+        text_flat = normalized(from_events(
+            TextEventSource(doc, chunk_size=5)))
         tags = TagTable()
-        text_flat = normalized(flatten_batches(
-            TextEventSource(doc, chunk_size=5).batches(tags), tags))
-        tags2 = TagTable()
         sax_flat = normalized(flatten_batches(
-            SaxEventSource(doc, chunk_size=5).batches(tags2), tags2))
+            SaxEventSource(doc, chunk_size=5).batches(tags), tags))
         assert text_flat == sax_flat

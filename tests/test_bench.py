@@ -77,6 +77,36 @@ class TestMetrics:
                                  path)
         assert run.preprocess_seconds == pytest.approx(0.0, abs=1e-4)
 
+    def test_timed_run_sees_a_frozen_heap(self, cache):
+        # Regression: full collections during a timed run traversed the
+        # caller's whole heap, so a test session's 100k live objects
+        # added ~0.2 s to every 1 MB run and flattened the figure ratios.
+        import gc
+
+        class Probe(type(ADAPTERS["XSQ-NC"])):
+            seen = []
+
+            def query(self, engine, source):
+                self.seen.append(gc.get_freeze_count())
+                return super().query(engine, source)
+
+        path = cache.path("shake")
+        held = [[i] for i in range(1000)]
+        measure_throughput(Probe(), "/PLAY/ACT/SCENE/SPEECH/SPEAKER/text()",
+                           path, repeat=2)
+        assert len(Probe.seen) == 2
+        assert all(count >= len(held) for count in Probe.seen)
+        assert gc.get_freeze_count() == 0
+        # A caller's own freeze is left in place.
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            measure_throughput(Probe(),
+                               "/PLAY/ACT/SCENE/SPEECH/SPEAKER/text()", path)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     def test_relative_throughput_bounded(self, cache):
         path = cache.path("shake")
         base = pureparser_seconds(path)

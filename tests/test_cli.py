@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import main, pick_engine
+from repro.api import select_engine
+from repro.cli import main
 from repro.xsq.engine import XSQEngine
 from repro.xsq.nc import XSQEngineNC
 
@@ -20,18 +21,18 @@ def doc(tmp_path):
 class TestEngineSelection:
     def test_auto_prefers_fast_for_element_output(self):
         from repro.xsq.fastpath import XSQEngineFast
-        assert isinstance(pick_engine("/a/b", "auto"), XSQEngineFast)
+        assert isinstance(select_engine("/a/b", "auto"), XSQEngineFast)
 
     def test_auto_prefers_nc_outside_fast_class(self):
-        assert isinstance(pick_engine("/a[not(b)]/text()", "auto"),
+        assert isinstance(select_engine("/a[not(b)]/text()", "auto"),
                           XSQEngineNC)
 
     def test_auto_falls_back_to_f_for_closures(self):
-        assert isinstance(pick_engine("//a", "auto"), XSQEngine)
+        assert isinstance(select_engine("//a", "auto"), XSQEngine)
 
     def test_forced_choices(self):
-        assert isinstance(pick_engine("/a", "f"), XSQEngine)
-        assert isinstance(pick_engine("/a", "nc"), XSQEngineNC)
+        assert isinstance(select_engine("/a", "f"), XSQEngine)
+        assert isinstance(select_engine("/a", "nc"), XSQEngineNC)
 
 
 class TestMain:

@@ -151,12 +151,18 @@ class TestTutorialSnippets:
         assert values == ["0", "1", "2", "3", "4"]
 
     def test_schema_expansion_snippet(self):
-        from repro import SchemaAwareEngine, parse_dtd
+        import repro
+        from repro import parse_dtd
+        from repro.xsq.schema_opt import optimize
         dtd = parse_dtd("""
             <!ELEMENT pub (year?, book+)>
             <!ELEMENT book (title, author*)>
             <!ELEMENT year (#PCDATA)> <!ELEMENT title (#PCDATA)>
             <!ELEMENT author (#PCDATA)>
         """, root="pub")
-        engine = SchemaAwareEngine("//book[title]/author/text()", dtd)
-        assert "/pub/book/author/text()" in engine.explain()
+        query = "//book[title]/author/text()"
+        assert "/pub/book/author/text()" in optimize(dtd, query).describe()
+        compiled = repro.compile(query, schema=dtd)
+        assert compiled.engine_name == "xsq-fast"
+        assert compiled.run("<pub><book><title>t</title>"
+                            "<author>a</author></book></pub>") == ["a"]

@@ -28,9 +28,9 @@ from repro.datagen import (
     generate_shake,
 )
 from repro.errors import FastPathUnsupportedError
+from repro.obs import Observability
 from repro.streaming.events import BEGIN, END, TEXT, batch_events
 from repro.streaming.sax_source import parse_events, parse_events_batched
-from repro.streaming.textparser import TextEventSource
 from repro.xsq.engine import XSQEngine
 from repro.xsq.fastpath import (
     TagTable,
@@ -214,8 +214,10 @@ def test_property_sweep_fast_vs_interpreted(xml, query):
 def test_property_sweep_multiquery_fast_pump(xml, queries):
     fast = MultiQueryEngine(queries)
     assert all(plan is not None for plan in fast._fast[1])
-    interp = MultiQueryEngine(queries)
-    interp._fast = interp._try_fastplans(interpreted=True)
+    # A per-event instrument lowers every member to XSQ-F.
+    interp = MultiQueryEngine(queries, obs=Observability(
+        spans=False, metrics=False, events=False, per_event_timing=True))
+    assert all(plan is None for plan in interp._fast[1])
     assert fast.run(xml) == interp.run(xml)
     assert ([s.as_dict() for s in fast.last_stats]
             == [s.as_dict() for s in interp.last_stats])
@@ -270,14 +272,6 @@ def test_sax_batches_match_event_stream():
     tags = TagTable()
     expected = expected_tuples(BOUNDARY_XML, tags)
     got = [ev for batch in parse_events_batched(BOUNDARY_XML, tags)
-           for ev in batch]
-    assert got == expected
-
-
-def test_text_parser_batches_match_event_stream():
-    tags = TagTable()
-    expected = expected_tuples(BOUNDARY_XML, tags)
-    got = [ev for batch in TextEventSource(BOUNDARY_XML).batches(tags)
            for ev in batch]
     assert got == expected
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.xsq.engine import XSQEngine
 from repro.xsq.nc import XSQEngineNC
 
@@ -80,22 +81,26 @@ class TestWildcardInteractions:
 
 class TestSchemaUnionAggregateFallback:
     def test_aggregate_union_falls_back_to_xsqf(self):
+        from repro.api import UnionEngine
         from repro.streaming.dtd import parse_dtd
-        from repro.xsq.schema_opt import SchemaAwareEngine
+        from repro.xsq.schema_opt import optimize
         dtd = parse_dtd("""
             <!ELEMENT lib (shelf*, box*)>
             <!ELEMENT shelf (item*)>
             <!ELEMENT box (item*)>
             <!ELEMENT item (#PCDATA)>
         """, root="lib")
-        engine = SchemaAwareEngine("//item/count()", dtd)
         # Expansion yields two paths, whose aggregate union cannot be
-        # merged: the plan must note the fall-back and stay correct.
-        assert any("cannot be merged" in note
-                   for note in engine.plan.notes)
+        # merged: the original query runs instead, and stays correct.
+        assert optimize(dtd, "//item/count()").is_union
         doc = ("<lib><shelf><item>a</item></shelf>"
                "<box><item>b</item><item>c</item></box></lib>")
+        engine = repro.compile("//item/count()", schema=dtd)
+        assert not isinstance(engine.engine, UnionEngine)
         assert engine.run(doc) == ["3"]
+        forced = repro.compile("//item/count()", engine="f", schema=dtd)
+        assert isinstance(forced.engine, XSQEngine)
+        assert forced.run(doc) == ["3"]
 
 
 class TestMultiqueryWithExtensions:

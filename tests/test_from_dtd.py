@@ -4,6 +4,7 @@ indistinguishable from plain evaluation on schema-valid data."""
 
 import pytest
 
+import repro
 from repro.datagen.from_dtd import (
     DtdDocumentGenerator,
     generate_valid_document,
@@ -13,7 +14,6 @@ from repro.datagen.queries import generate_filter_workload
 from repro.streaming.dtd import parse_dtd, validate
 from repro.streaming.sax_source import parse_events
 from repro.xsq.engine import XSQEngine
-from repro.xsq.schema_opt import SchemaAwareEngine
 
 from conftest import oracle
 
@@ -132,7 +132,7 @@ class TestSchemaAwareDifferential:
     def test_fixed_queries(self, seed):
         xml = generate_valid_document(BOOK_DTD, seed=seed)
         for query in self.QUERIES:
-            assert SchemaAwareEngine(query, BOOK_DTD).run(xml) == \
+            assert repro.compile(query, schema=BOOK_DTD).run(xml) == \
                 XSQEngine(query).run(xml), (seed, query)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -141,7 +141,7 @@ class TestSchemaAwareDifferential:
         queries = generate_filter_workload(xml, 6, seed=seed + 50,
                                            closure_probability=0.4)
         for query in queries:
-            assert SchemaAwareEngine(query, BOOK_DTD).run(xml) == \
+            assert repro.compile(query, schema=BOOK_DTD).run(xml) == \
                 XSQEngine(query).run(xml) == oracle(query, xml), \
                 (seed, query)
 
@@ -150,5 +150,5 @@ class TestSchemaAwareDifferential:
         xml = generate_valid_document(RECURSIVE_DTD, seed=seed)
         for query in ("//part/name/text()", "//part[@serial]/name",
                       "//part//name/count()"):
-            assert SchemaAwareEngine(query, RECURSIVE_DTD).run(xml) == \
+            assert repro.compile(query, schema=RECURSIVE_DTD).run(xml) == \
                 XSQEngine(query).run(xml), (seed, query)

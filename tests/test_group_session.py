@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import repro
+from repro.obs import Observability
 from repro.streaming.sax_source import parse_events
 from repro.xsq.fastpath import FastRuntime
 from repro.xsq.matcher import MatcherRuntime
@@ -67,6 +68,10 @@ documents = st.lists(elements(depth=2), max_size=3).map(
 query_sets = st.lists(st.sampled_from(POOL), min_size=1, max_size=5)
 
 
+PER_EVENT_ONLY = Observability(spans=False, metrics=False, events=False,
+                               per_event_timing=True)
+
+
 def _stats(compiled):
     return [run.as_dict() for run in compiled.per_query_stats]
 
@@ -92,9 +97,10 @@ def _ordered_modes(compiled, xml):
 @given(xml=documents, queries=query_sets)
 def test_ordered_modes_agree_under_both_lowerings(xml, queries):
     kernel = repro.compile(queries)
-    interpreted = repro.compile(queries)
-    engine = interpreted.engine
-    engine._fast = engine._try_fastplans(interpreted=True)
+    # A per-event instrument lowers every member to XSQ-F; per-event
+    # timing alone records nothing into RunStats.
+    interpreted = repro.compile(queries, obs=PER_EVENT_ONLY)
+    assert set(interpreted.engine.member_runtimes) == {"xsq-f"}
     expected_lists = kernel.run(xml)
     expected_stats = _stats(kernel)
     expected = None
@@ -150,3 +156,33 @@ def test_obs_session_lowers_every_member_interpreted():
     assert list(compiled.iter_results(xml)) == [(0, "1"), (1, "2")]
     # The hooks saw every event: the open table dropped none.
     assert compiled.per_query_stats[0].events == 10
+
+
+def test_spans_and_metrics_bundle_keeps_the_kernels():
+    """One obs rule for single queries and sets: only a per-event
+    instrument lowers members to XSQ-F."""
+    queries = ["/r/a/text()", "//b/text()", "//a[b]/text()",
+               "/r/a/count()"]
+    xml = "<r><a>x<b>y</b></a><c>z</c><a>w</a></r>"
+    plain = repro.compile(queries)
+    expected_lists = plain.run(xml)
+    expected_stats = _stats(plain)
+    expected_pairs = list(plain.iter_results(xml))
+    for label, mode in (("run", lambda c: c.run(xml)),
+                        ("iter_results",
+                         lambda c: list(c.iter_results(xml))),
+                        ("push", lambda c: c.feed(xml[:9])
+                         + c.feed(xml[9:]) + c.finish())):
+        obs = Observability(spans=True, metrics=True, events=False)
+        compiled = repro.compile(queries, obs=obs)
+        assert compiled.engine.member_runtimes == [
+            "kernel", "kernel", "xsq-f", "kernel"]
+        assert "per-event observability" not in compiled.explain()
+        out = mode(compiled)
+        assert out == (expected_lists if label == "run"
+                       else expected_pairs), label
+        assert _stats(compiled) == expected_stats, label
+        # The table stays open and the loop ordered: the fanout
+        # histogram sees every event of the stream.
+        key = 'repro_dispatch_fanout_queries_count{engine="multiquery"}'
+        assert obs.metrics.as_dict()[key] == compiled.stats.events, label

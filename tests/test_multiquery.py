@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from repro.api import UnionEngine
 from repro.errors import UnsupportedFeatureError
 from repro.xsq.engine import XSQEngine
 from repro.xsq.multiquery import MultiQueryEngine
@@ -59,44 +60,41 @@ class TestPerQueryResults:
 class TestMergedResults:
     def test_merge_preserves_document_order(self, fig1):
         # year comes after both books in fig1.
-        merged = MultiQueryEngine(["/pub/year/text()",
-                                   "/pub/book/name/text()"])._run_merged(fig1)
+        merged = UnionEngine(["/pub/year/text()",
+                              "/pub/book/name/text()"]).run(fig1)
         assert merged == ["First", "Second", "2002"]
 
     def test_merge_interleaved(self):
         xml = "<r><a>1</a><b>2</b><a>3</a><b>4</b></r>"
-        merged = MultiQueryEngine(["/r/a/text()",
-                                   "/r/b/text()"])._run_merged(xml)
+        merged = UnionEngine(["/r/a/text()", "/r/b/text()"]).run(xml)
         assert merged == ["1", "2", "3", "4"]
 
     def test_merge_with_buffered_predicates(self):
         # Items resolve late but must still merge in document order.
         xml = ("<r><g><a>1</a><b>2</b><ok/></g>"
                "<g><a>3</a><b>4</b><ok/></g></r>")
-        merged = MultiQueryEngine(["/r/g[ok]/a/text()",
-                                   "/r/g[ok]/b/text()"])._run_merged(xml)
+        merged = UnionEngine(["/r/g[ok]/a/text()",
+                              "/r/g[ok]/b/text()"]).run(xml)
         assert merged == ["1", "2", "3", "4"]
 
     def test_merge_equals_union_oracle(self, fig2):
         queries = ["//book/name/text()", "//pub/year/text()"]
-        merged = MultiQueryEngine(queries)._run_merged(fig2)
+        merged = UnionEngine(queries).run(fig2)
         # The union in document order, computed independently: fig2's
         # text values in stream order restricted to the two queries.
         assert merged == ["X", "Y", "Z", "1999", "2002"]
 
     def test_merge_rejects_aggregates(self, fig1):
-        engine = MultiQueryEngine(["/pub/book/count()",
-                                   "/pub/year/text()"])
         with pytest.raises(UnsupportedFeatureError):
-            engine._run_merged(fig1)
+            UnionEngine(["/pub/book/count()",
+                         "/pub/year/text()"]).run(fig1)
 
     def test_merged_disjoint_closure_paths(self):
         # The schema optimizer's use case: union of expanded paths.
         xml = ("<lib><shelf><book><t>A</t></book></shelf>"
                "<box><book><t>B</t></book></box></lib>")
-        merged = MultiQueryEngine(["/lib/shelf/book/t/text()",
-                                   "/lib/box/book/t/text()"]
-                                  )._run_merged(xml)
+        merged = UnionEngine(["/lib/shelf/book/t/text()",
+                              "/lib/box/book/t/text()"]).run(xml)
         assert merged == ["A", "B"]
 
 
@@ -137,7 +135,70 @@ class TestUnionIsNodeSet:
     def test_branch_stats_unchanged(self):
         # Deduplication is of the merged list only: each member still
         # reports every item it emitted.
-        engine = MultiQueryEngine(["/r/a/text()", "//a/text()"])
-        assert engine._run_merged(self.XML) == ["1", "3", "4"]
+        engine = UnionEngine(["/r/a/text()", "//a/text()"])
+        assert engine.run(self.XML) == ["1", "3", "4"]
         assert [run.emitted for run in engine.last_stats] == [2, 3]
 
+
+
+class TestUnionLowering:
+    """A union's only lowering is all-XSQ-F, fixed at construction: no
+    branch is lowered to a FastPlan or code-generated."""
+
+    DTD = """
+        <!ELEMENT lib (shelf*, box*)>
+        <!ELEMENT shelf (item*)>
+        <!ELEMENT box (item*)>
+        <!ELEMENT item (#PCDATA)>
+    """
+    DOC = ("<lib><shelf><item>s1</item></shelf>"
+           "<box><item>b1</item></box></lib>")
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        import repro.xsq.codegen as codegen
+        import repro.xsq.multiquery as multiquery
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(codegen, "compile_kernel",
+                            counting(codegen.compile_kernel))
+        monkeypatch.setattr(multiquery, "compile_fastplan",
+                            counting(multiquery.compile_fastplan))
+        return calls
+
+    def test_bar_union_generates_no_kernel(self, lowerings):
+        compiled = repro.compile("/lib/shelf/item/text() | //item/text()",
+                                 cache=False)
+        assert isinstance(compiled.engine, UnionEngine)
+        assert compiled.engine.member_runtimes == ["xsq-f", "xsq-f"]
+        assert compiled.run(self.DOC) == ["s1", "b1"]
+        session = compiled.push()
+        assert session.feed(self.DOC) == []
+        assert session.finish() == ["s1", "b1"]
+        assert lowerings == []
+        # A query set over the same branches does lower them.
+        repro.compile(["/lib/shelf/item/text()", "//item/text()"],
+                      cache=False)
+        assert lowerings.count("compile_kernel") == 2
+
+    def test_schema_expanded_union_generates_no_kernel(self, lowerings):
+        from repro.streaming.dtd import parse_dtd
+        dtd = parse_dtd(self.DTD, root="lib")
+        compiled = repro.compile("//item/text()", schema=dtd, cache=False)
+        assert isinstance(compiled.engine, UnionEngine)
+        assert compiled.engine.member_runtimes == ["xsq-f", "xsq-f"]
+        assert compiled.run(self.DOC) == ["s1", "b1"]
+        assert lowerings == []
+
+    def test_explain_names_the_lowering(self):
+        notes = repro.compile("/r/a/text() | //a/text()").explain()
+        for member in ("member 0: /r/a/text() — xsq-f",
+                       "member 1: //a/text() — xsq-f"):
+            assert member + " (a union orders items by XSQ-F's shared " \
+                "sequence counter)" in notes

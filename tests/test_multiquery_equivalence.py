@@ -12,6 +12,7 @@ adjacency guards.
 
 import pytest
 
+from repro.api import UnionEngine
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
 from repro.xsq.engine import XSQEngine
@@ -120,15 +121,14 @@ class TestMergedEquivalence:
     def test_merged_same_under_both_dispatch_modes(self):
         xml = ("<r><x><a>1</a></x><b>2</b><x><a>3</a></x><b>4</b></r>")
         queries = ["//a/text()", "/r/b/text()"]
-        shared = MultiQueryEngine(queries)._run_merged(xml)
-        dense = MultiQueryEngine(queries,
-                                 shared_dispatch=False)._run_merged(xml)
+        shared = UnionEngine(queries).run(xml)
+        dense = UnionEngine(queries, shared_dispatch=False).run(xml)
         assert shared == dense == ["1", "2", "3", "4"]
 
     def test_merged_document_order_with_sparse_members(self):
         xml = "<r><c>3</c><a>1</a><c>4</c><b>2</b></r>"
         queries = ["/r/a/text()", "/r/b/text()", "/r/c/text()"]
-        merged = MultiQueryEngine(queries)._run_merged(xml)
+        merged = UnionEngine(queries).run(xml)
         assert merged == ["3", "1", "4", "2"]
 
 
@@ -207,9 +207,8 @@ class TestGeneratedWorkloads:
         queries = [q + "/text()" for q in QueryWorkloadGenerator(
             graph, seed=12, max_depth=3, closure_probability=0.3
             ).workload(5)]
-        shared = MultiQueryEngine(queries)._run_merged(sample)
-        dense = MultiQueryEngine(queries,
-                                 shared_dispatch=False)._run_merged(sample)
+        shared = UnionEngine(queries).run(sample)
+        dense = UnionEngine(queries, shared_dispatch=False).run(sample)
         assert shared == dense
 
 

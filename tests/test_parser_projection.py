@@ -26,7 +26,6 @@ from repro.streaming.events import Batch, batch_events
 from repro.streaming.push import PushBatchParser, PushEventParser
 from repro.streaming.sax_source import parse_events, parse_events_batched
 from repro.streaming.source import coerce_source
-from repro.streaming.textparser import TextEventSource
 from repro.xsq.engine import RunStats, XSQEngine
 from repro.xsq.fastpath import ClosurePlan, TagTable, XSQEngineFast
 from repro.xsq.multiquery import MultiQueryEngine
@@ -196,11 +195,9 @@ def test_open_tables_yield_the_full_tuple_stream(query, xml):
 def test_closed_tables_yield_the_kept_subsequence(query, xml):
     tags = XSQEngineFast(query, cache=False).plan.tags
     before = len(tags)
-    # Each producer against its own unprojected stream (the pure-Python
-    # tokenizer splits text at comments and PIs, expat does not).
+    # Each producer against its own unprojected stream.
     producers = (lambda t: coerce_source(xml).batches(t),
                  lambda t: coerce_source([xml[:7], xml[7:]]).batches(t),
-                 lambda t: TextEventSource(xml, chunk_size=5).batches(t),
                  lambda t: batch_events(parse_events(xml), t))
     for produce in producers:
         open_tags = TagTable()

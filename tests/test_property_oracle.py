@@ -249,8 +249,8 @@ def node_set_union(xml, query_list):
 @given(documents, st.lists(queries(outputs=("/text()", "/@id", "")),
                            min_size=2, max_size=3))
 def test_multiquery_merge_is_ordered_union(xml, query_list):
-    from repro.xsq.multiquery import MultiQueryEngine
-    merged = MultiQueryEngine(query_list)._run_merged(xml)
+    from repro.api import UnionEngine
+    merged = UnionEngine(query_list).run(xml)
     branches = set()
     for query in query_list:
         branches.update(XSQEngine(query).run(xml))

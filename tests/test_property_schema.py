@@ -9,13 +9,14 @@ document.
 
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.baselines.dom import build_dom, evaluate
 from repro.datagen.from_dtd import DtdDocumentGenerator
 from repro.datagen.queries import QueryWorkloadGenerator, TagGraph
 from repro.streaming.dtd import parse_dtd, validate
 from repro.streaming.sax_source import parse_events
 from repro.xsq.engine import XSQEngine
-from repro.xsq.schema_opt import SchemaAwareEngine, optimize
+from repro.xsq.schema_opt import optimize
 
 _TAG_POOL = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 _SUFFIXES = ("", "?", "*", "+")
@@ -75,7 +76,7 @@ def test_schema_aware_differential_on_random_schemas(dtd, seed):
         query = generator.query() + "/text()"
         expected = evaluate(build_dom(xml), query)
         assert XSQEngine(query).run(xml) == expected, query
-        assert SchemaAwareEngine(query, dtd).run(xml) == expected, query
+        assert repro.compile(query, schema=dtd).run(xml) == expected, query
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,10 +2,13 @@
 
 import pytest
 
+import repro
+from repro.api import UnionEngine
+from repro.errors import ClosureNotSupportedError
 from repro.streaming.dtd import parse_dtd
 from repro.xsq.engine import XSQEngine
 from repro.xsq.nc import XSQEngineNC
-from repro.xsq.schema_opt import SchemaAwareEngine, optimize
+from repro.xsq.schema_opt import optimize
 
 from conftest import oracle
 
@@ -43,13 +46,17 @@ class TestEmptiness:
     def test_statically_empty(self, query):
         plan = optimize(BOOK_DTD, query)
         assert plan.empty, plan.describe()
-        assert SchemaAwareEngine(query, BOOK_DTD).run(DOC) == []
+        assert repro.compile(query, schema=BOOK_DTD).run(DOC) == []
 
     def test_empty_aggregates_render_properly(self):
-        assert SchemaAwareEngine("/pub/magazine/count()",
-                                 BOOK_DTD).run(DOC) == ["0"]
-        assert SchemaAwareEngine("/pub/magazine/price/sum()",
-                                 BOOK_DTD).run(DOC) == ["0"]
+        for query in ("/pub/magazine/count()", "/pub/magazine/price/sum()"):
+            compiled = repro.compile(query, schema=BOOK_DTD)
+            assert compiled.engine_name == "empty"
+            assert compiled.run(DOC) == ["0"]
+            assert list(compiled.iter_results(DOC)) == ["0"]
+            session = compiled.push()
+            assert session.feed(DOC) == []
+            assert session.finish() == ["0"]
 
     def test_satisfiable_query_not_marked_empty(self):
         assert not optimize(BOOK_DTD, "/pub/book/title/text()").empty
@@ -77,7 +84,7 @@ class TestPredicateElimination:
 
     def test_elimination_preserves_results(self):
         query = "/pub/book[title]/author/text()"
-        engine = SchemaAwareEngine(query, BOOK_DTD)
+        engine = repro.compile(query, schema=BOOK_DTD)
         assert engine.run(DOC) == oracle(query, DOC) == ["A1"]
 
     def test_wildcard_predicate_never_dropped_past_its_own_filter(self):
@@ -97,7 +104,7 @@ class TestPredicateElimination:
         plan = optimize(dtd, query)
         assert not any("[delta]" in note and "dropped" in note
                        for note in plan.notes), plan.describe()
-        assert SchemaAwareEngine(query, dtd).run(xml) == []
+        assert repro.compile(query, schema=dtd).run(xml) == []
 
 
 class TestRequiredAttributeElimination:
@@ -148,27 +155,35 @@ class TestRequiredAttributeElimination:
 
     def test_elimination_preserves_results(self):
         query = "/pub/book[@id]/title/text()"
-        engine = SchemaAwareEngine(query, BOOK_DTD)
+        engine = repro.compile(query, schema=BOOK_DTD)
         assert engine.run(DOC) == oracle(query, DOC) == ["T1", "T2"]
 
 
 class TestClosureElimination:
     def test_single_path_runs_deterministic(self):
-        engine = SchemaAwareEngine("//author/text()", BOOK_DTD)
-        assert not engine.plan.is_union
-        assert not engine.plan.queries[0].has_closure
-        assert isinstance(engine._engine, XSQEngineNC)
+        plan = optimize(BOOK_DTD, "//author/text()")
+        assert not plan.is_union
+        assert not plan.queries[0].has_closure
+        # XSQ-NC rejects closures: it compiles only the expanded path.
+        engine = repro.compile("//author/text()", engine="nc",
+                               schema=BOOK_DTD)
+        assert isinstance(engine.engine, XSQEngineNC)
         assert engine.run(DOC) == ["A1"]
+        assert repro.compile("//author/text()",
+                             schema=BOOK_DTD).run(DOC) == ["A1"]
 
     def test_multi_closure_query(self):
-        engine = SchemaAwareEngine("//book//author/text()", BOOK_DTD)
-        assert engine.plan.closure_free
+        assert optimize(BOOK_DTD, "//book//author/text()").closure_free
+        engine = repro.compile("//book//author/text()", schema=BOOK_DTD)
         assert engine.run(DOC) == ["A1"]
 
     def test_recursive_dtd_keeps_closures(self):
-        engine = SchemaAwareEngine("//book/title/text()", RECURSIVE_DTD)
-        assert engine.plan.queries[0].has_closure
-        assert isinstance(engine._engine, XSQEngine)
+        query = "//book/title/text()"
+        assert optimize(RECURSIVE_DTD, query).queries[0].has_closure
+        with pytest.raises(ClosureNotSupportedError):
+            repro.compile(query, engine="nc", schema=RECURSIVE_DTD)
+        engine = repro.compile(query, engine="f", schema=RECURSIVE_DTD)
+        assert isinstance(engine.engine, XSQEngine)
         doc = ("<pub><book><title>outer</title>"
                "<pub><book><title>inner</title></book></pub>"
                "</book></pub>")
@@ -181,9 +196,10 @@ class TestClosureElimination:
             <!ELEMENT box (item*)>
             <!ELEMENT item (#PCDATA)>
         """, root="lib")
-        engine = SchemaAwareEngine("//item/text()", dtd)
-        assert engine.plan.is_union
-        assert len(engine.plan.queries) == 2
+        engine = repro.compile("//item/text()", schema=dtd)
+        assert isinstance(engine.engine, UnionEngine)
+        assert engine.engine.schema_plan.is_union
+        assert len(engine.engine.schema_plan.queries) == 2
         doc = ("<lib><shelf><item>s1</item></shelf>"
                "<box><item>b1</item></box>"
                "<box><item>b2</item></box></lib>")
@@ -216,18 +232,20 @@ class TestClosureElimination:
         xml = generate_dblp(20_000)
         for query in ("//title/text()", "//author/text()",
                       "//article//year/text()"):
-            engine = SchemaAwareEngine(query, dtd)
+            engine = repro.compile(query, schema=dtd)
             assert engine.run(xml) == oracle(query, xml), \
-                engine.plan.describe()
+                optimize(dtd, query).describe()
 
 
 class TestPlanReporting:
     def test_describe_lists_rewrites(self):
-        text = SchemaAwareEngine("//book[title]/author/text()",
-                                 BOOK_DTD).explain()
+        query = "//book[title]/author/text()"
+        text = optimize(BOOK_DTD, query).describe()
         assert "plan for" in text
         assert "guaranteed" in text
-        assert "engine:" in text
+        assert "run: " in text
+        explained = repro.compile(query, schema=BOOK_DTD).explain()
+        assert "runtime: xsq-fast" in explained
 
     def test_plan_repr(self):
         plan = optimize(BOOK_DTD, "/pub/magazine")
@@ -252,6 +270,6 @@ class TestEquivalenceWithUnoptimized:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_results_identical(self, query):
-        optimized = SchemaAwareEngine(query, BOOK_DTD).run(DOC)
+        optimized = repro.compile(query, schema=BOOK_DTD).run(DOC)
         plain = XSQEngine(query).run(DOC)
         assert optimized == plain, query
