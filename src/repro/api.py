@@ -37,7 +37,11 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from repro.errors import (ClosureNotSupportedError, FastPathUnsupportedError,
                           StreamError, UnsupportedFeatureError)
 from repro.xpath.ast import AggregateOutput, Query
-from repro.xpath.rewrite import rewrite_reverse_axes, supports_reverse_axes
+from repro.xpath.rewrite import (
+    rewrite_reverse_axes,
+    supports_reverse_axes,
+    trailing_output,
+)
 from repro.xsq.aggregates import StatBuffer
 from repro.xsq.engine import RunStats, XSQEngine
 from repro.xsq.fastpath import XSQEngineFast
@@ -203,7 +207,7 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
     if isinstance(query, str) and supports_reverse_axes(query):
         rewritten = rewrite_reverse_axes(query)
         if rewritten is None:
-            return EmptyEngine()
+            return EmptyEngine(output=trailing_output(query))
         query = rewritten
     if isinstance(query, str):
         from repro.xpath.parser import parse_query_set

@@ -3,27 +3,20 @@
 "The throughput of a SAX parser, which parses the XML data but does
 nothing else, gives an upper bound of the throughput for any XML query
 system."  The paper wrote two PureParsers (C/Expat and Java/Xerces) and
-normalized every engine's throughput against the matching one.  Here the
-two reference parsers are ``xml.sax`` (expat underneath) and the
-pure-Python tokenizer; the bench harness divides engine throughput by
-PureParser throughput to get the *relative throughput* of Figures 16,
-17, 21 and 22.
+normalized every engine's throughput against the matching one.  Here
+the PureParser is the ``xml.sax`` event producer the interpreted
+engines read (expat underneath); the bench harness divides engine
+throughput by PureParser throughput to get the *relative throughput*
+of Figures 16, 17, 21 and 22.
 """
 
 from __future__ import annotations
 
 from repro.streaming.sax_source import parse_events
-from repro.streaming.textparser import tokenize_xml
 
 
 class PureParser:
-    """Parse-only baseline.
-
-    ``flavor`` selects the underlying parser: ``"sax"`` (the default;
-    what every engine in this repository uses) or ``"python"`` (the
-    self-contained tokenizer, the analogue of the paper's second
-    PureParser written in C).
-    """
+    """Parse-only baseline: ``xml.sax`` events, counted and dropped."""
 
     name = "pureparser"
     supports_predicates = False
@@ -31,18 +24,9 @@ class PureParser:
     supports_aggregates = False
     streaming = True
 
-    def __init__(self, flavor: str = "sax"):
-        if flavor not in ("sax", "python"):
-            raise ValueError("flavor must be 'sax' or 'python'")
-        self.flavor = flavor
-        if flavor == "python":
-            self.name = "pureparser-py"
-
     def run(self, source) -> int:
         """Consume the whole stream; return the number of events."""
-        events = (parse_events(source) if self.flavor == "sax"
-                  else tokenize_xml(source))
         count = 0
-        for _ in events:
+        for _ in parse_events(source):
             count += 1
         return count

@@ -38,7 +38,8 @@ class XmlWriter:
     """Streaming XML writer with an element stack.
 
     >>> w = XmlWriter()
-    >>> w.begin("a", id="1"); w.text("x"); w.end(); print(w.getvalue())
+    >>> _ = w.begin("a", id="1").text("x").end()
+    >>> print(w.getvalue())
     <a id="1">x</a>
     """
 

@@ -83,41 +83,28 @@ class QueryRunnerSpec:
 def _payload_source(payload):
     """Reverse :func:`normalize_source`: payload tuple → engine source."""
     kind, data = payload
-    if kind == "path":
-        if not os.path.exists(data):
-            raise StreamError("bulk source does not exist: %r" % data)
-        return data
-    return data  # "text" and "bytes" feed the engine directly
+    if kind == "path" and not os.path.exists(data):
+        raise StreamError("bulk source does not exist: %r" % data)
+    return data  # a path, or the document's list of raw chunks
 
 
 def normalize_source(source, index: int):
     """One corpus entry → (payload, label, byte cost).
 
-    Classification delegates to
-    :func:`repro.streaming.coerce_source`, so bulk accepts exactly what
-    the serial engines accept — path, XML text, bytes, a file-like
-    object, or an iterable of raw chunks — minus pre-built event
-    iterables (a worker needs replayable bytes, and events already
-    dropped whitespace).  Non-path sources are materialized *in the
-    parent* (a worker cannot inherit an open handle portably) and pay
-    their bytes through the task queue; prefer paths for large corpora.
+    Classification is :func:`repro.streaming.coerce_source`'s, so bulk
+    accepts exactly what the serial engines accept — path, XML text,
+    bytes, a file-like object, or an iterable of raw chunks — minus
+    pre-built event iterables (a worker needs the raw document, and
+    events already dropped whitespace).  A path ships as its name.
+    Every other source is materialized *in the parent* (a worker
+    cannot inherit an open handle portably) as the list of its
+    :meth:`~repro.streaming.source.CoercedSource.chunks`, which the
+    worker parses exactly as a serial run would: text stays text.  It
+    pays its bytes through the task queue; prefer paths for large
+    corpora.
     """
     from repro.streaming.source import EVENTS, coerce_source
 
-    if isinstance(source, bytes):
-        return ("bytes", source), "<doc #%d>" % index, len(source)
-    if isinstance(source, str):
-        if source.lstrip()[:1] == "<":
-            return ("text", source), "<doc #%d>" % index, len(source)
-        if not os.path.exists(source):
-            raise StreamError(
-                "bulk source #%d is neither XML text nor an existing "
-                "file: %r" % (index, source[:80]))
-        try:
-            cost = os.path.getsize(source)
-        except OSError:
-            cost = 1
-        return ("path", source), source, max(1, cost)
     try:
         coerced = coerce_source(source)
     except StreamError:
@@ -128,12 +115,24 @@ def normalize_source(source, index: int):
             "bulk source #%d is an event iterable; bulk workers need "
             "replayable bytes — pass a path, XML text, bytes, a "
             "file-like object, or an iterable of raw chunks" % index)
-    data = coerced.read_bytes()
+    path = coerced.path
+    if path is not None:
+        if not os.path.exists(path):
+            raise StreamError(
+                "bulk source #%d is neither XML text nor an existing "
+                "file: %r" % (index, path[:80]))
+        try:
+            cost = os.path.getsize(path)
+        except OSError:
+            cost = 1
+        return ("path", path), path, max(1, cost)
+    chunks = list(coerced.chunks())
     label = getattr(source, "name", None)
     if not isinstance(label, str):
         label = ("<stream #%d>" if hasattr(source, "read")
                  else "<doc #%d>") % index
-    return ("bytes", data), label, max(1, len(data))
+    return (("chunks", chunks), label,
+            max(1, sum(len(chunk) for chunk in chunks)))
 
 
 class DocumentResult:

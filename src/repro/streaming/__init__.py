@@ -7,21 +7,27 @@ An XML stream is modelled as a sequence of events ``e_i`` drawn from
 * ``T`` — :class:`TextEvent` ``(tag, text, depth)``
 * ``E`` — :class:`EndEvent` ``(tag, depth)``
 
-Event *sources* turn XML text into such sequences incrementally:
+Every source reaches a parser the same way:
+:func:`coerce_source` (:mod:`repro.streaming.source`) classifies what
+the engines accept — path, markup string, bytes, file-like object,
+iterable of raw chunks, or iterable of events — and
+:meth:`CoercedSource.chunks` is the only code that opens, reads and
+closes a document.  A ``str`` is text everywhere: it reaches expat as
+``str`` and is never re-decoded by its declared encoding.  The chunks
+feed one of two producers:
 
-* :func:`parse_events` / :class:`SaxEventSource` — built on ``xml.sax``
-  (expat), the analogue of the paper's Xerces-based parser.
-* :class:`TextEventSource` — a self-contained pure-Python incremental
-  parser, the analogue of the paper's second (Expat/C) PureParser.
-* :class:`PushEventParser` / :class:`PushBatchParser`
-  (:mod:`repro.streaming.push`) — resumable *push-mode* parsers behind
-  the engines' ``feed(chunk)`` API: the caller owns the input loop and
-  chunk boundaries are invisible.
+* :func:`parse_events` / :meth:`CoercedSource.events` — ``xml.sax``
+  (expat) yielding :class:`Event` objects, the analogue of the paper's
+  Xerces-based parser (the interpreted engines' feed).
+* :meth:`CoercedSource.batches` — :class:`PushBatchParser`
+  (:mod:`repro.streaming.push`), ``pyexpat`` yielding interned tuples
+  (the compiled fast path's feed).
 
-:func:`coerce_source` (:mod:`repro.streaming.source`) is the single
-classification point for everything the engines accept: path, markup
-string, bytes, file-like object, iterable of raw chunks, or iterable
-of events.
+:class:`PushEventParser` / :class:`PushBatchParser` are also the
+resumable *push-mode* parsers behind the engines' ``feed(chunk)`` API:
+the caller owns the input loop and chunk boundaries are invisible.
+:class:`TextEventSource` is a self-contained pure-Python tokenizer, the
+independent reference the differential tests check expat against.
 
 :class:`WellFormednessPDA` is the simple pushdown automaton of
 Section 3.1 / Figure 4(a) that checks tag balance, and
@@ -37,14 +43,9 @@ from repro.streaming.events import (
     events_from_pairs,
     iter_with_depth,
 )
-from repro.streaming.sax_source import SaxEventSource, parse_events
-from repro.streaming.source import CoercedSource, coerce_source, open_xml_input
-from repro.streaming.push import (
-    PushBatchParser,
-    PushEventParser,
-    batches_from_chunks,
-    events_from_chunks,
-)
+from repro.streaming.sax_source import parse_events
+from repro.streaming.source import CoercedSource, coerce_source
+from repro.streaming.push import PushBatchParser, PushEventParser
 from repro.streaming.textparser import TextEventSource, tokenize_xml
 from repro.streaming.wellformed import WellFormednessPDA, check_well_formed
 from repro.streaming.serialize import (
@@ -58,18 +59,14 @@ from repro.streaming.serialize import (
 __all__ = [
     "CoercedSource",
     "coerce_source",
-    "open_xml_input",
     "PushEventParser",
     "PushBatchParser",
-    "events_from_chunks",
-    "batches_from_chunks",
     "BeginEvent",
     "EndEvent",
     "TextEvent",
     "Event",
     "events_from_pairs",
     "iter_with_depth",
-    "SaxEventSource",
     "parse_events",
     "TextEventSource",
     "tokenize_xml",

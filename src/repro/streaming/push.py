@@ -1,11 +1,11 @@
 """Push-mode parsing: resumable expat parsers behind ``feed(chunk)``.
 
-The pull sources in :mod:`repro.streaming.sax_source` own their input
-loop: they read a finite stream until EOF and yield events.  Push mode
-inverts that control — the *caller* owns the loop and hands the parser
-arbitrary byte/str chunks as they arrive (a socket, a tail -f, a
-message bus), and the parser returns whatever events those bytes
-completed::
+A pull source (:class:`~repro.streaming.source.CoercedSource`) owns its
+input loop: it reads a finite document chunk by chunk until EOF and
+yields events.  Push mode inverts that control — the *caller* owns the
+loop and hands the parser arbitrary byte/str chunks as they arrive (a
+socket, a tail -f, a message bus), and the parser returns whatever
+events those chunks completed::
 
     parser = PushEventParser()
     events = parser.feed(b"<pub><year>20")   # [Begin(pub), Begin(year)]
@@ -27,13 +27,17 @@ offset and proves the event stream is identical to a single-shot parse.
   tuples with tags interned through a
   :class:`~repro.xsq.fastpath.TagTable` (the compiled fast path's feed
   granularity).  It is the only tuple producer over expat: the pull
-  source's ``batches()`` feeds it chunk by chunk
+  source's ``batches()`` feeds it the source's ``chunks()``
   (:meth:`PushBatchParser.batches`).  On a *closed* table it builds no
   tuple for a tag the table lacks — no plan lowered against the table
   can react to it — and counts the events it so drops in each
   :class:`~repro.streaming.events.Batch`, which keeps the sessions'
   event counts the full stream length (document projection, Marian &
   Siméon, VLDB 2003, applied at the expat callback).
+
+Chunks reach expat as given: a ``str`` chunk is text, never
+re-decoded by the document's declared encoding, and the parsers encode
+nothing themselves.
 
 ``finish()`` ends the document: it gives expat its final empty parse
 (which is where "unexpected end of document" truncation errors
@@ -100,16 +104,17 @@ class _PushBase:
     def feed(self, chunk: Chunk) -> list:
         """Parse one chunk; return the events it completed.
 
-        ``chunk`` may be ``bytes`` or ``str`` (str is encoded UTF-8, the
-        same normalization the pull sources apply to markup strings);
-        the two may be mixed freely across calls.  Chunks may split the
-        document anywhere — mid-tag, mid-entity, mid-CDATA.
+        ``chunk`` may be ``bytes`` or ``str``.  A ``str`` is text:
+        expat never re-decodes it by the document's declared encoding.
+        Chunks may split the document anywhere — mid-tag, mid-entity,
+        mid-CDATA.  Mixing the two in one document: the first chunk
+        fixes the encoding, UTF-8 after a ``str`` and the declared one
+        (UTF-8 by default) after ``bytes``, and later chunks of either
+        type are read in it, a ``str`` one as its UTF-8 bytes.
         """
         if self._finished:
             raise StreamError("push parser already finished; create a new "
                               "one per document")
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8")
         self._parse(chunk, False)
         return self._drain()
 
@@ -178,8 +183,8 @@ class PushBatchParser(_PushBase):
     """Push parser yielding batched ``(kind, tag_id, payload, depth)``
     tuples — the compiled fast path's feed representation, and the one
     tuple producer behind every parser-backed batch source (the pull
-    :meth:`~repro.streaming.sax_source.SaxEventSource.batches` drives
-    it through :meth:`batches`).
+    :meth:`~repro.streaming.source.CoercedSource.batches` drives it
+    through :meth:`batches`).
 
     ``tags`` is the :class:`~repro.xsq.fastpath.TagTable` the consuming
     :class:`~repro.xsq.fastpath.FastPlan` was lowered against, so tag
@@ -311,31 +316,3 @@ class PushBatchParser(_PushBase):
         if tail or tail.dropped:
             yield tail
 
-
-def events_from_chunks(chunks):
-    """Lazily parse an iterable of raw XML chunks into events.
-
-    The adapter :func:`repro.streaming.coerce_source` uses when a pull
-    engine is handed an iterable of str/bytes chunks: each chunk is fed
-    to one resumable :class:`PushEventParser` and completed events are
-    yielded as they appear, so an engine can pull from a chunked source
-    (a socket reader, a chunk generator) with bounded memory.
-    """
-    parser = PushEventParser()
-    for chunk in chunks:
-        for event in parser.feed(chunk):
-            yield event
-    for event in parser.finish():
-        yield event
-
-
-def batches_from_chunks(chunks, tags, batch_size: int = DEFAULT_BATCH_SIZE):
-    """Batched-tuple variant of :func:`events_from_chunks`.
-
-    Tuples accumulate across small chunks until ``batch_size`` so the
-    fast path's batch loop keeps its granularity even on byte-sized
-    feeds.  ``str`` chunks are encoded UTF-8, as :meth:`feed` does.
-    """
-    return PushBatchParser(tags).batches(
-        (chunk.encode("utf-8") if isinstance(chunk, str) else chunk
-         for chunk in chunks), batch_size)

@@ -1,12 +1,10 @@
 """One front door for every input kind: :func:`coerce_source`.
 
-Before this module, each engine family grew its own source sniffing —
-the interpreted engines' ``_as_events``, the fast path's
-``_as_batches``, the bulk runner's ``normalize_source`` — and they
-drifted (none of them, for instance, accepted an iterable of raw
-chunks).  :func:`coerce_source` is the single classification point; the
-document sessions (:mod:`repro.xsq.push`), the push façade and the bulk
-runner all route through it.
+:func:`coerce_source` is the single classification point for what the
+engines accept; the document sessions (:mod:`repro.xsq.push`), the push
+façade and the bulk runner all route through it, and
+:meth:`CoercedSource.chunks` is the only code that opens, reads, closes
+a document, so every parser is fed the same pieces.
 
 Accepted source kinds:
 
@@ -21,109 +19,79 @@ iterable of chunks        str/bytes pieces of one document, any split
 iterable of events        pre-built :class:`~repro.streaming.events.Event`
 ========================  =============================================
 
+One rule for ``str``: it is text.  A markup string, a text-mode
+stream's reads and ``str`` chunks reach expat as ``str`` and are never
+re-decoded by the encoding their XML declaration names (pyexpat's
+``Parse(str)`` parses text as text); only ``bytes`` are decoded by the
+declaration.
+
 The result is a :class:`CoercedSource` that renders the input in any of
-the representations an engine wants: :meth:`~CoercedSource.events` (the
-interpreted engines), :meth:`~CoercedSource.batches` (the fast path's
-interned tuples), or :meth:`~CoercedSource.read_bytes` (the bulk
-runner, which must materialize non-path sources to ship them to a
-worker process).
+the representations a consumer wants: :meth:`~CoercedSource.chunks`
+(raw pieces, the bulk runner's shape), :meth:`~CoercedSource.events`
+(the interpreted engines) or :meth:`~CoercedSource.batches` (the fast
+path's interned tuples).
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from repro.errors import StreamError
+from repro.streaming.events import batch_events
+from repro.streaming.push import DEFAULT_BATCH_SIZE, PushBatchParser
 
 #: Classification results; ``kind`` on :class:`CoercedSource`.
-STREAM = "stream"    # path / markup / bytes / file-like -> one byte stream
+STREAM = "stream"    # path / markup / bytes / file-like -> one document
 CHUNKS = "chunks"    # iterable of str/bytes pieces
 EVENTS = "events"    # iterable of Event objects
 
-
-class BufferReader:
-    """Chunked binary reads over a bytes-like buffer, no up-front copy.
-
-    ``io.BytesIO(buf)`` copies the whole buffer at construction; for a
-    large ``bytearray`` or ``memoryview`` that doubles peak memory
-    before parsing even starts.  This reader slices the underlying
-    buffer lazily, so only one parser chunk is materialized at a time.
-    """
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, buffer):
-        self._view = memoryview(buffer)
-        self._pos = 0
-
-    def read(self, size: int = -1) -> bytes:
-        view = self._view
-        if size is None or size < 0:
-            chunk = view[self._pos:]
-            self._pos = len(view)
-        else:
-            chunk = view[self._pos:self._pos + size]
-            self._pos += len(chunk)
-        return bytes(chunk)
-
-    def close(self):
-        self._view.release()
-
-
-def open_xml_input(source: Union[str, bytes, bytearray, memoryview,
-                                 IO]) -> IO:
-    """Normalize a ``STREAM``-kind source to a readable binary stream.
-
-    A ``str`` is a file path if such a file exists, otherwise it is
-    taken to be XML text itself (the common case in tests and examples,
-    where documents are inline literals).  Bytes-like buffers
-    (``bytes``/``bytearray``/``memoryview``) are wrapped in a
-    :class:`BufferReader` rather than ``io.BytesIO`` so no full-buffer
-    copy is made.
-    """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return BufferReader(source)
-    if isinstance(source, str):
-        looks_like_markup = source.lstrip()[:1] == "<"
-        if not looks_like_markup and os.path.exists(source):
-            if source.endswith(".gz"):
-                import gzip
-                return gzip.open(source, "rb")
-            return open(source, "rb")
-        if looks_like_markup:
-            return io.BytesIO(source.encode("utf-8"))
-        if os.path.exists(source):
-            return open(source, "rb")
-        raise StreamError("input is neither XML text nor an existing file: %r"
-                          % source[:80])
-    if hasattr(source, "read"):
-        return source
-    raise StreamError("unsupported XML input type: %r" % type(source))
+#: Default read granularity; one memory page's worth of text keeps the
+#: parser busy without buffering large spans of the stream.
+DEFAULT_CHUNK_SIZE = 64 * 1024
 
 
 class CoercedSource:
-    """A classified source, renderable as events, batches, or bytes."""
+    """A classified source, renderable as chunks, events or batches.
 
-    __slots__ = ("kind", "raw", "_iterable")
+    ``path`` is the file name when the source is a path, else ``None``.
+    """
 
-    def __init__(self, kind: str, raw, iterable=None):
+    __slots__ = ("kind", "raw", "path", "_iterable")
+
+    def __init__(self, kind: str, raw, iterable=None,
+                 path: Optional[str] = None):
         self.kind = kind
         self.raw = raw
+        self.path = path
         self._iterable = iterable
 
-    def events(self, chunk_size: Optional[int] = None) -> Iterator:
-        """The source as depth-annotated :class:`Event` objects."""
-        if self.kind == STREAM:
-            from repro.streaming.sax_source import (
-                DEFAULT_CHUNK_SIZE, parse_events)
-            return parse_events(self.raw, chunk_size=(chunk_size
-                                or DEFAULT_CHUNK_SIZE))
+    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator:
+        """The document as ``str``/``bytes`` pieces of at most
+        ``chunk_size`` characters or bytes.
+
+        A path (``.gz`` decompressed) and a file-like object are read
+        ``chunk_size`` at a time and closed at the end; bytes-like
+        buffers are sliced without an up-front copy; a markup ``str``
+        is sliced as text; a chunk iterable passes through unchanged.
+        Event-kind sources have no raw form (whitespace runs were
+        already dropped) and are rejected.
+        """
         if self.kind == CHUNKS:
-            from repro.streaming.push import events_from_chunks
-            return events_from_chunks(self._iterable)
-        return iter(self._iterable)
+            return self._iterable
+        if self.kind == EVENTS:
+            raise StreamError("an event iterable has no raw document; "
+                              "pass a path, text, bytes, a stream, or an "
+                              "iterable of raw chunks")
+        return _read(self.raw, self.path, chunk_size)
+
+    def events(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator:
+        """The source as depth-annotated :class:`Event` objects."""
+        if self.kind == EVENTS:
+            return iter(self._iterable)
+        from repro.streaming.sax_source import sax_events
+        return sax_events(self.chunks(chunk_size))
 
     def batches(self, tags, batch_size: Optional[int] = None) -> Iterator[list]:
         """The source as ``(kind, tag_id, payload, depth)`` tuple chunks.
@@ -131,57 +99,67 @@ class CoercedSource:
         ``tags`` is the consuming plan's
         :class:`~repro.xsq.fastpath.TagTable`.
         """
-        from repro.streaming.push import DEFAULT_BATCH_SIZE
         batch_size = batch_size or DEFAULT_BATCH_SIZE
-        if self.kind == STREAM:
-            from repro.streaming.sax_source import parse_events_batched
-            return parse_events_batched(self.raw, tags, batch_size=batch_size)
-        if self.kind == CHUNKS:
-            from repro.streaming.push import batches_from_chunks
-            return batches_from_chunks(self._iterable, tags,
-                                       batch_size=batch_size)
-        from repro.streaming.events import batch_events
-        return batch_events(self._iterable, tags, batch_size=batch_size)
-
-    def read_bytes(self) -> bytes:
-        """Materialize the whole document (the bulk runner's shape).
-
-        Event-kind sources cannot round-trip to bytes losslessly
-        (whitespace runs were already dropped), so they are rejected —
-        the bulk runner ships engines bytes, not events.
-        """
-        if self.kind == STREAM:
-            stream = open_xml_input(self.raw)
-            try:
-                data = stream.read()
-            finally:
-                stream.close()
-            if isinstance(data, str):
-                data = data.encode("utf-8")
-            return data
-        if self.kind == CHUNKS:
-            parts = []
-            for chunk in self._iterable:
-                parts.append(chunk.encode("utf-8")
-                             if isinstance(chunk, str) else chunk)
-            return b"".join(parts)
-        raise StreamError("an event iterable cannot be materialized to "
-                          "bytes; pass a path, text, bytes, a stream, or "
-                          "an iterable of raw chunks")
+        if self.kind == EVENTS:
+            return batch_events(self._iterable, tags, batch_size=batch_size)
+        return PushBatchParser(tags).batches(self.chunks(), batch_size)
 
     def __repr__(self):
         return "<CoercedSource kind=%s>" % self.kind
 
 
+def _read(raw, path: Optional[str], size: int) -> Iterator:
+    """Yield ``raw`` (a ``STREAM``-kind source) in ``size`` pieces."""
+    if path is not None:
+        if not os.path.exists(path):
+            raise StreamError("input is neither XML text nor an existing "
+                              "file: %r" % path[:80])
+        if path.endswith(".gz"):
+            import gzip
+            stream = gzip.open(path, "rb")
+        else:
+            stream = open(path, "rb")
+    elif isinstance(raw, (str, bytes)):
+        # A whole-string slice is the string itself: no copy for a
+        # document shorter than one chunk.
+        for start in range(0, len(raw), size):
+            yield raw[start:start + size]
+        return
+    elif isinstance(raw, (bytearray, memoryview)):
+        view = memoryview(raw)
+        try:
+            for start in range(0, len(view), size):
+                yield bytes(view[start:start + size])
+        finally:
+            view.release()
+        return
+    else:
+        stream = raw
+    read = stream.read
+    try:
+        while True:
+            chunk = read(size)
+            if not chunk:
+                return
+            yield chunk
+    finally:
+        stream.close()
+
+
 def coerce_source(source) -> CoercedSource:
     """Classify ``source`` into a :class:`CoercedSource`.
 
-    Iterables are classified by peeking at their first element (str or
-    bytes means raw chunks; anything else means pre-built events); the
-    peeked element is chained back, so generators work.  An empty
-    iterable is an empty event stream.
+    A ``str`` is markup when it starts with ``<`` (after whitespace),
+    otherwise a file path.  Iterables are classified by peeking at
+    their first element (str or bytes means raw chunks; anything else
+    means pre-built events); the peeked element is chained back, so
+    generators work.  An empty iterable is an empty event stream.
     """
-    if (isinstance(source, (str, bytes, bytearray, memoryview))
+    if isinstance(source, str):
+        if source.lstrip()[:1] == "<":
+            return CoercedSource(STREAM, source)
+        return CoercedSource(STREAM, source, path=source)
+    if (isinstance(source, (bytes, bytearray, memoryview))
             or hasattr(source, "read")):
         return CoercedSource(STREAM, source)
     try:
@@ -191,7 +169,6 @@ def coerce_source(source) -> CoercedSource:
     first = next(iterator, None)
     if first is None:
         return CoercedSource(EVENTS, source, iterable=())
-    import itertools
     rest = itertools.chain((first,), iterator)
     if isinstance(first, (str, bytes)):
         return CoercedSource(CHUNKS, source, iterable=rest)

@@ -1,15 +1,15 @@
 """A self-contained pure-Python incremental XML tokenizer.
 
-This is the repository's second, independent event source — the analogue
-of the paper's C/Expat PureParser.  It exists for three reasons:
+This is the repository's second, independent event source.  It exists
+for two reasons:
 
-1. The benchmark harness normalizes engine throughput against a "parse
-   only" baseline (Section 6.2); having two parsers lets us report
-   relative throughput against either, as the paper does.
-2. Differential testing: every document used in tests is parsed by both
-   this tokenizer and ``xml.sax`` and the event sequences must agree.
-3. It makes the package importable and runnable with zero reliance on
-   expat behaviour (entity handling, buffer splits).
+1. Differential testing: every document used in tests is parsed by both
+   this tokenizer and expat and the event sequences must agree.
+2. It gives a reference with zero reliance on expat behaviour (entity
+   handling, buffer splits).
+
+The Section 6.2 parse-only baseline is the ``xml.sax`` producer
+(:class:`~repro.baselines.pureparser.PureParser`), not this tokenizer.
 
 Scope: well-formed XML 1.0 documents with elements, attributes, text,
 comments, CDATA sections, processing instructions, an optional XML

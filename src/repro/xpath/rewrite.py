@@ -35,7 +35,7 @@ import re
 from typing import List, Optional, Tuple
 
 from repro.errors import UnsupportedFeatureError, XPathSyntaxError
-from repro.xpath.ast import Query
+from repro.xpath.ast import Output, Query
 from repro.xpath.parser import parse_query
 
 #: Splits the query into slash-separated components while keeping the
@@ -85,6 +85,10 @@ def rewrite_reverse_axes(query_text: str) -> Optional[Query]:
             raise UnsupportedFeatureError(
                 "//parent:: selects unboundedly many ancestors; use "
                 "ancestor::, which this fragment cannot express")
+        if rewritten and rewritten[-1][0] == "//":
+            raise UnsupportedFeatureError(
+                "parent:: after a closure step needs path predicates, "
+                "outside the Figure 3 grammar")
         if len(rewritten) < 2:
             # The folded step's parent would be the virtual root, which
             # is not an element: nothing can match.
@@ -94,10 +98,6 @@ def rewrite_reverse_axes(query_text: str) -> Optional[Query]:
             raise UnsupportedFeatureError(
                 "parent:: after a predicated step needs nested path "
                 "predicates, outside the Figure 3 grammar")
-        if folded_axis == "//":
-            raise UnsupportedFeatureError(
-                "parent:: after a closure step needs path predicates, "
-                "outside the Figure 3 grammar")
         merged = _merge_parent(rewritten[-1], folded_body, remainder)
         if merged is None:
             return None
@@ -107,6 +107,22 @@ def rewrite_reverse_axes(query_text: str) -> Optional[Query]:
                                query=query_text)
     text = "".join(axis + body for axis, body in rewritten)
     return parse_query(text)
+
+
+def trailing_output(query_text: str) -> Optional[Output]:
+    """The output of ``query_text``'s last component, or ``None`` when
+    that component is a reverse step.
+
+    A query the rewrite proves empty still has this output, and an
+    aggregate one a value over no matches.
+
+    >>> trailing_output("/pub/parent::x/count()")
+    /count()
+    """
+    axis_text, body = _split_components(query_text)[-1]
+    if _classify(body)[0] != "forward":
+        return None
+    return parse_query("/*" + axis_text + body).output
 
 
 def _split_components(query_text: str) -> List[Tuple[str, str]]:

@@ -65,8 +65,8 @@ REVERSE_AXES = ("preceding-sibling", "preceding", "ancestor",
 def tokenize_query(query: str) -> List[Token]:
     """Tokenize ``query``; raise :class:`XPathSyntaxError` on bad input.
 
-    >>> [t.kind.name for t in tokenize_query("/a[@id=1]")]
-    ['SLASH', 'NAME', 'LBRACKET', 'AT', 'NAME', 'OP', 'NUMBER', 'END']
+    >>> print(" ".join(t.kind.name for t in tokenize_query("/a[@id=1]")))
+    SLASH NAME LBRACKET AT NAME OP NUMBER RBRACKET END
     """
     tokens: List[Token] = []
     pos = 0

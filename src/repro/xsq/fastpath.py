@@ -37,7 +37,7 @@ et al. freeze their stream schedule:
   tables themselves.  :class:`FastRuntime` holds the per-document state
   around it: one preallocated predicate-instance stack, integer depth
   gating, batched event feed (``(kind, tag_id, payload, depth)`` tuples
-  from :meth:`~repro.streaming.sax_source.SaxEventSource.batches`), no
+  from :meth:`~repro.streaming.source.CoercedSource.batches`), no
   Event objects, no per-event attribute dispatch.
 
 * **Element (catchall) output** runs on the fast path too: when the

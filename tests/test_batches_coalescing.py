@@ -1,13 +1,15 @@
 """Text coalescing at the parser boundaries.
 
-``SaxEventSource.batches()`` must deliver exactly the event stream its
-unbatched ``iter()`` twin delivers — one TEXT tuple per run of text,
+The batch producer (``PushBatchParser.batches`` over a source's
+``chunks()``, what ``coerce_source(...).batches()`` runs) must deliver
+exactly the event stream the ``xml.sax`` producer (``parse_events``)
+delivers over the same chunks — one TEXT tuple per run of text,
 flushed only at element boundaries — no matter where the input is
 split: CDATA sections, entity references, comments interrupting a text
 run, or plain text cut by a tiny read-chunk size.  The fast path
 consumes batches; the interpreted engines consume events; both must
 see the same document.  The pure-Python tokenizer (``TextEventSource``,
-the PureParser baseline's parser) yields events only; its stream, put
+the independent reference parser) yields events only; its stream, put
 through the ``batch_events`` adapter a batch-fed session applies to
 plain events, must describe the same document at any read-chunk size.
 """
@@ -15,7 +17,9 @@ plain events, must describe the same document at any read-chunk size.
 import pytest
 
 from repro.streaming.events import BEGIN, END, TEXT, batch_events
-from repro.streaming.sax_source import SaxEventSource
+from repro.streaming.push import DEFAULT_BATCH_SIZE, PushBatchParser
+from repro.streaming.sax_source import parse_events
+from repro.streaming.source import DEFAULT_CHUNK_SIZE, coerce_source
 from repro.streaming.textparser import TextEventSource
 from repro.xsq.fastpath import TagTable
 
@@ -30,6 +34,13 @@ DOCS = {
     "nested-mixed": ("<a>alpha<b>beta<c>gamma</c>delta</b>epsilon"
                      "<b at='1'>zeta</b></a>"),
 }
+
+
+def sax_batches(doc, tags, chunk_size=DEFAULT_CHUNK_SIZE,
+                batch_size=DEFAULT_BATCH_SIZE):
+    """``doc``'s tuple batches, parsed ``chunk_size`` at a time."""
+    return PushBatchParser(tags).batches(
+        coerce_source(doc).chunks(chunk_size), batch_size)
 
 
 def flatten_batches(batches, tags):
@@ -76,8 +87,8 @@ class TestSaxBatchesCoalescing:
         doc = DOCS[name]
         tags = TagTable()
         batched = flatten_batches(
-            SaxEventSource(doc, chunk_size=chunk_size).batches(tags), tags)
-        unbatched = from_events(SaxEventSource(doc, chunk_size=chunk_size))
+            sax_batches(doc, tags, chunk_size=chunk_size), tags)
+        unbatched = from_events(parse_events(doc, chunk_size=chunk_size))
         assert batched == unbatched
 
     @pytest.mark.parametrize("name", sorted(DOCS))
@@ -85,10 +96,10 @@ class TestSaxBatchesCoalescing:
         doc = DOCS[name]
         tags = TagTable()
         tiny = flatten_batches(
-            SaxEventSource(doc, chunk_size=2).batches(tags), tags)
+            sax_batches(doc, tags, chunk_size=2), tags)
         tags2 = TagTable()
         whole = flatten_batches(
-            SaxEventSource(doc, chunk_size=1 << 20).batches(tags2), tags2)
+            sax_batches(doc, tags2, chunk_size=1 << 20), tags2)
         assert tiny == whole
 
     @pytest.mark.parametrize("name", sorted(DOCS))
@@ -96,10 +107,10 @@ class TestSaxBatchesCoalescing:
         doc = DOCS[name]
         tags = TagTable()
         one = flatten_batches(
-            SaxEventSource(doc).batches(tags, batch_size=1), tags)
+            sax_batches(doc, tags, batch_size=1), tags)
         tags2 = TagTable()
         big = flatten_batches(
-            SaxEventSource(doc).batches(tags2, batch_size=4096), tags2)
+            sax_batches(doc, tags2, batch_size=4096), tags2)
         assert one == big
 
     def test_one_text_event_per_run(self):
@@ -108,28 +119,26 @@ class TestSaxBatchesCoalescing:
                      "cdata-adjacent-text"):
             tags = TagTable()
             flat = flatten_batches(
-                SaxEventSource(DOCS[name], chunk_size=3).batches(tags), tags)
+                sax_batches(DOCS[name], tags, chunk_size=3), tags)
             texts = [item for item in flat if item[0] == TEXT]
             assert len(texts) == 1, (name, texts)
 
     def test_coalesced_content(self):
         tags = TagTable()
         flat = flatten_batches(
-            SaxEventSource(DOCS["comment-splits-text"],
-                           chunk_size=4).batches(tags), tags)
+            sax_batches(DOCS["comment-splits-text"], tags, chunk_size=4), tags)
         texts = [item for item in flat if item[0] == TEXT]
         assert texts == [(TEXT, "x", "onetwo", 2)]
         tags = TagTable()
         flat = flatten_batches(
-            SaxEventSource(DOCS["entities"], chunk_size=5).batches(tags),
-            tags)
+            sax_batches(DOCS["entities"], tags, chunk_size=5), tags)
         texts = [item for item in flat if item[0] == TEXT]
         assert texts == [(TEXT, "x", "one & two <three> AB", 2)]
 
     def test_cdata_markup_is_literal_text(self):
         tags = TagTable()
         flat = flatten_batches(
-            SaxEventSource(DOCS["cdata"], chunk_size=6).batches(tags), tags)
+            sax_batches(DOCS["cdata"], tags, chunk_size=6), tags)
         kinds = [item[0] for item in flat]
         assert kinds == [BEGIN, BEGIN, TEXT, END, END]
         # No entity expansion inside CDATA: the &gt; stays literal.
@@ -171,5 +180,5 @@ class TestTextBatchesCoalescing:
             TextEventSource(doc, chunk_size=5)))
         tags = TagTable()
         sax_flat = normalized(flatten_batches(
-            SaxEventSource(doc, chunk_size=5).batches(tags), tags))
+            sax_batches(doc, tags, chunk_size=5), tags))
         assert text_flat == sax_flat

@@ -30,7 +30,9 @@ from repro.datagen import (
 from repro.errors import FastPathUnsupportedError
 from repro.obs import Observability
 from repro.streaming.events import BEGIN, END, TEXT, batch_events
-from repro.streaming.sax_source import parse_events, parse_events_batched
+from repro.streaming.push import PushBatchParser
+from repro.streaming.sax_source import parse_events
+from repro.streaming.source import coerce_source
 from repro.xsq.engine import XSQEngine
 from repro.xsq.fastpath import (
     TagTable,
@@ -268,22 +270,23 @@ def expected_tuples(xml, tags):
     return out
 
 
+def parsed_tuples(xml, tags, chunk_size=64 * 1024, batch_size=2048):
+    """The batch producer's tuples over ``xml``'s chunks, flattened."""
+    return [ev for batch in PushBatchParser(tags).batches(
+                coerce_source(xml).chunks(chunk_size), batch_size)
+            for ev in batch]
+
+
 def test_sax_batches_match_event_stream():
     tags = TagTable()
     expected = expected_tuples(BOUNDARY_XML, tags)
-    got = [ev for batch in parse_events_batched(BOUNDARY_XML, tags)
-           for ev in batch]
-    assert got == expected
+    assert parsed_tuples(BOUNDARY_XML, tags) == expected
 
 
 def test_batch_size_does_not_change_content():
     tags1, tags2 = TagTable(), TagTable()
-    one = [ev for batch in parse_events_batched(BOUNDARY_XML, tags1,
-                                                batch_size=1)
-           for ev in batch]
-    big = [ev for batch in parse_events_batched(BOUNDARY_XML, tags2,
-                                                batch_size=4096)
-           for ev in batch]
+    one = parsed_tuples(BOUNDARY_XML, tags1, batch_size=1)
+    big = parsed_tuples(BOUNDARY_XML, tags2, batch_size=4096)
     assert one == big
 
 
@@ -292,9 +295,7 @@ def test_batch_events_adapter_matches_parsers():
     via_adapter = [ev for batch in
                    batch_events(parse_events(BOUNDARY_XML), tags1)
                    for ev in batch]
-    direct = [ev for batch in parse_events_batched(BOUNDARY_XML, tags2)
-              for ev in batch]
-    assert via_adapter == direct
+    assert via_adapter == parsed_tuples(BOUNDARY_XML, tags2)
 
 
 def test_fast_engine_accepts_event_iterables():

@@ -24,7 +24,7 @@ from repro.baselines.dom import DomEngine
 from repro.serve import SubscriptionBroker
 from repro.streaming.events import Batch, batch_events
 from repro.streaming.push import PushBatchParser, PushEventParser
-from repro.streaming.sax_source import parse_events, parse_events_batched
+from repro.streaming.sax_source import parse_events
 from repro.streaming.source import coerce_source
 from repro.xsq.engine import RunStats, XSQEngine
 from repro.xsq.fastpath import ClosurePlan, TagTable, XSQEngineFast
@@ -177,8 +177,10 @@ def named(tuples, tags):
 
 
 def full_stream(xml):
+    """The unprojected tuple stream, parsed 7 characters at a time."""
     tags = TagTable()
-    return named(flatten(parse_events_batched(xml, tags))[0], tags)
+    return named(flatten(PushBatchParser(tags).batches(
+        coerce_source(xml).chunks(7)))[0], tags)
 
 
 @pytest.mark.parametrize("xml", DOCS)
@@ -214,8 +216,9 @@ def test_split_parent_text_keeps_the_parents_id():
     for name in ("r", "a"):
         tags.intern(name)
     tags.close()
-    tuples, dropped = flatten(parse_events_batched(
-        "<r><a>one<n>x<a>in</a>y</n>two</a></r>", tags))
+    tuples, dropped = flatten(PushBatchParser(tags).batches(
+        coerce_source("<r><a>one<n>x<a>in</a>y</n>two</a></r>").chunks(
+            64 * 1024)))
     assert named(tuples, tags) == [
         (0, "r", {}, 1), (0, "a", {}, 2), (1, "a", "one", 2),
         (0, "a", {}, 4), (1, "a", "in", 4), (2, "a", None, 4),

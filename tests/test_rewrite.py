@@ -88,6 +88,12 @@ class TestBoundaries:
         with pytest.raises(UnsupportedFeatureError):
             rewrite_reverse_axes("/a/b//parent::a")
 
+    def test_parent_after_leading_closure_step_rejected(self):
+        # //a's parent can be any element, not the virtual root: the
+        # query is inexpressible, not empty.
+        with pytest.raises(UnsupportedFeatureError):
+            rewrite_reverse_axes("//a/parent::x")
+
     def test_malformed_query_rejected(self):
         with pytest.raises(XPathSyntaxError):
             rewrite_reverse_axes("a/b")
@@ -129,3 +135,31 @@ class TestSemanticsAgainstOracle:
         results = XSQEngine(query).run(xml)
         assert results == ["<pub><book></book><year>1</year></pub>",
                            "<pub><book></book></pub>"]
+
+
+class TestProvablyEmptyOutput:
+    """A query the rewrite proves empty still renders its output's value
+    over no matches, as every other empty query does."""
+
+    DOC = "<pub><book/></pub>"
+
+    @pytest.mark.parametrize("query, empty_twin", [
+        ("/pub/parent::x/count()", "/pub/x/count()"),
+        ("/a/b/parent::c/sum()", "/pub/x/sum()"),
+        ("/pub/self::x/avg()", "/pub/x/avg()"),
+        ("/pub/parent::x/text()", "/pub/x/text()"),
+        ("/pub/..", "/pub/x"),
+    ])
+    def test_run_iter_results_and_push(self, query, empty_twin):
+        import repro
+        expected = repro.compile(empty_twin).run(self.DOC)
+        compiled = repro.compile(query)
+        assert compiled.engine.name == "empty"
+        assert compiled.run(self.DOC) == expected
+        assert list(compiled.iter_results(self.DOC)) == expected
+        session = compiled.push()
+        assert session.feed(self.DOC) + session.finish() == expected
+
+    def test_count_over_no_parent_is_zero(self):
+        import repro
+        assert repro.compile("/pub/parent::x/count()").run(self.DOC) == ["0"]

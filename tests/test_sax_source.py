@@ -1,11 +1,12 @@
-"""Unit tests for the xml.sax-based streaming event source."""
+"""Unit tests for the xml.sax pull producer and the chunks it is fed."""
 
 import io
 
 import pytest
 
 from repro.errors import StreamError
-from repro.streaming.sax_source import SaxEventSource, parse_events
+from repro.streaming.sax_source import parse_events
+from repro.streaming.source import STREAM, coerce_source
 
 
 def kinds(xml, **kwargs):
@@ -103,12 +104,11 @@ class TestInputKinds:
             assert got == expected
 
     def test_coerce_source_classifies_bytes_like(self):
-        from repro.streaming.source import STREAM, coerce_source
         for source in (b"<a/>", bytearray(b"<a/>"),
                        memoryview(b"<a/>")):
             coerced = coerce_source(source)
             assert coerced.kind == STREAM
-            assert coerced.read_bytes() == b"<a/>"
+            assert b"".join(coerced.chunks(3)) == b"<a/>"
 
 
 class TestErrors:
@@ -126,7 +126,7 @@ class TestErrors:
 
     def test_unsupported_input_type(self):
         with pytest.raises(StreamError):
-            list(SaxEventSource(12345))  # type: ignore[arg-type]
+            list(parse_events(12345))  # type: ignore[arg-type]
 
 
 class TestStreamingBehaviour:
