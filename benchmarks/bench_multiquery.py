@@ -6,9 +6,9 @@ document, the wall-clock throughput of three execution strategies:
 
 * ``independent`` — N separate :class:`XSQEngine` runs, each parsing
   the stream itself (the no-sharing baseline);
-* ``dense``       — :class:`MultiQueryEngine` with
-  ``shared_dispatch=False``: one parse, every event fed to every
-  runtime (the pre-index grouped engine);
+* ``dense``       — one parse, every event fed to N XSQ-F
+  :class:`MatcherRuntime` instances (the pre-index grouped engine,
+  kept here as :func:`dense_run`, the baseline the index must beat);
 * ``shared``      — :class:`MultiQueryEngine` with the tag-keyed
   dispatch index routing each event only to the queries that can
   react to it;
@@ -46,7 +46,12 @@ import repro
 from repro.api import PushSession
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
+from repro.streaming import coerce_source
+from repro.streaming.events import BEGIN, END, BeginEvent, EndEvent, TextEvent
+from repro.xsq.compile_cache import compile_hpdt
 from repro.xsq.engine import XSQEngine
+from repro.xsq.fastpath import TagTable
+from repro.xsq.matcher import MatcherRuntime
 from repro.xsq.multiquery import MultiQueryEngine
 
 
@@ -77,6 +82,34 @@ def timed(fn, repeats: int) -> float:
 PUSH_CHUNK = 4096
 
 
+def dense_run(hpdts, xml: str) -> List[List[str]]:
+    """The dense loop: one parse (the group's batch parser, over an
+    open tag table), every event fed to every member's XSQ-F matcher."""
+    sinks: List[List[str]] = [[] for _ in hpdts]
+    runtimes = [MatcherRuntime(hpdt, sink) for hpdt, sink in zip(hpdts, sinks)]
+    begins = [runtime.on_begin for runtime in runtimes]
+    texts = [runtime.on_text for runtime in runtimes]
+    ends = [runtime.on_end for runtime in runtimes]
+    tags = TagTable()
+    names = tags.names
+    for batch in coerce_source(xml).batches(tags):
+        for kind, tag_id, payload, depth in batch:
+            if kind == BEGIN:
+                event = BeginEvent(names[tag_id], payload, depth)
+                handlers = begins
+            elif kind == END:
+                event = EndEvent(names[tag_id], depth)
+                handlers = ends
+            else:
+                event = TextEvent(names[tag_id], payload, depth)
+                handlers = texts
+            for handler in handlers:
+                handler(event)
+    for runtime in runtimes:
+        runtime.finish()
+    return sinks
+
+
 def pushed(engine: MultiQueryEngine, chunks: List[str]) -> list:
     """One ordered push session over ``chunks``: every pair."""
     session = PushSession(engine.push())
@@ -88,14 +121,14 @@ def pushed(engine: MultiQueryEngine, chunks: List[str]) -> list:
 
 def run_point(xml: str, queries: List[str], repeats: int) -> Dict[str, float]:
     shared = MultiQueryEngine(queries, cache=False)
-    dense = MultiQueryEngine(queries, cache=False, shared_dispatch=False)
+    hpdts = [compile_hpdt(query, cache=False) for query in queries]
     independents = [XSQEngine(query, cache=False) for query in queries]
     chunks = [xml[i:i + PUSH_CHUNK] for i in range(0, len(xml), PUSH_CHUNK)]
 
     # Sanity: the strategies must agree before we time them.
     expected = [engine.run(xml) for engine in independents]
     pairs = pushed(shared, chunks)
-    if (shared.run(xml) != expected or dense.run(xml) != expected
+    if (shared.run(xml) != expected or dense_run(hpdts, xml) != expected
             or [[v for i, v in pairs if i == n] for n in range(len(queries))]
             != expected):
         raise AssertionError(
@@ -105,7 +138,7 @@ def run_point(xml: str, queries: List[str], repeats: int) -> Dict[str, float]:
     point = {
         "n_queries": len(queries),
         "shared_s": timed(lambda: shared.run(xml), repeats),
-        "dense_s": timed(lambda: dense.run(xml), repeats),
+        "dense_s": timed(lambda: dense_run(hpdts, xml), repeats),
         "independent_s": timed(
             lambda: [engine.run(xml) for engine in independents], repeats),
         "push_s": timed(lambda: pushed(shared, chunks), repeats),

@@ -336,35 +336,25 @@ def test_profiler_off_skips_instrumentation(shake):
 def test_latency_off_attaches_nothing():
     """The delivery-latency path is free by construction when off.
 
-    Every push handle is born with ``latency = None`` and each stamp
-    site is one attribute load plus a ``None`` test; a default bundle
-    carries no delivery tracker and no flight recorder, and a broker
-    without a bundle leaves every stream's recorder unset.  If any of
-    these defaults flips, the un-instrumented serve pipeline starts
-    paying per-result clock reads — the regression the benchmark cases
-    below would then show.
+    The document sessions carry no stamp site; a default bundle carries
+    no delivery tracker and no flight recorder, and a broker without a
+    bundle leaves every stream's recorder unset.  If any of these
+    defaults flips, the un-instrumented serve pipeline starts paying
+    per-result clock reads — the regression the benchmark cases below
+    would then show.
     """
     from repro.serve import SubscriptionBroker
-    from repro.xsq.multiquery import MultiQueryEngine
 
     obs = Observability(spans=False, events=False)
     assert obs.delivery is None
     assert obs.flight is None
     assert obs.tracer.on_finish is None
 
-    handle = MultiQueryEngine(["/a/text()"]).push()
-    assert handle.latency is None
-    engine_handle = XSQEngine(QUERY).push()
-    assert engine_handle.latency is None
-    fast_handle = XSQEngineFast(QUERY).push()
-    assert fast_handle.latency is None
-
     broker = SubscriptionBroker()
     assert broker.delivery is None
     broker.subscribe("/pub/item/value/text()")
     stream = broker.open_stream()
     assert stream._latency is None
-    assert stream._handle.latency is None
 
 
 def test_recorder_wires_only_when_asked():
@@ -383,51 +373,50 @@ def test_recorder_wires_only_when_asked():
     assert off.flight is None
 
 
-@pytest.mark.benchmark(group="latency-overhead")
-def test_push_latency_detached(benchmark, shake):
-    """Baseline: push-mode feed with no latency recorder attached."""
+def _broker_feed(shake, obs):
+    """One broker stream's feed loop over the Shakespeare document in
+    64 KB chunks; with a delivery tracker on ``obs``, every delivered
+    result's provenance record is completed as the server would."""
+    from repro.serve import SubscriptionBroker
+
     with open(shake, "rb") as handle:
         data = handle.read()
     chunks = [data[i:i + 65536] for i in range(0, len(data), 65536)]
+    broker = SubscriptionBroker(obs=obs)
+    broker.subscribe(QUERY)
 
     def run():
-        from repro.api import compile as xsq_compile
-        session = xsq_compile(QUERY).push()
+        stream = broker.open_stream()
         out = []
         for chunk in chunks:
-            out += session.feed(chunk)
-        return out + session.finish()
+            out += stream.feed(chunk)
+        out += stream.finish()
+        tracker = broker.delivery
+        if tracker is not None:
+            timings = stream.take_timings()
+            assert len(timings) == len(out)
+            for timing in timings:
+                timing.write = tracker.clock()
+                tracker.complete(timing)
+        return out
 
-    assert benchmark(run)
+    return run
+
+
+@pytest.mark.benchmark(group="latency-overhead")
+def test_push_latency_detached(benchmark, shake):
+    """Baseline: a broker stream with no latency recorder attached."""
+    assert benchmark(_broker_feed(shake, None))
 
 
 @pytest.mark.benchmark(group="latency-overhead")
 def test_push_latency_attached(benchmark, shake):
-    """The same feed loop with per-result provenance stamping: prices
-    the delivery tracker's clock reads per feed cycle and per result."""
-    from repro.obs.latency import DeliveryTracker
-
-    with open(shake, "rb") as handle:
-        data = handle.read()
-    chunks = [data[i:i + 65536] for i in range(0, len(data), 65536)]
-
-    def run():
-        from repro.api import compile as xsq_compile
-        tracker = DeliveryTracker()
-        session = xsq_compile(QUERY).push()
-        recorder = tracker.recorder()
-        session._handle.latency = recorder
-        out = []
-        for chunk in chunks:
-            recorder.start_feed()
-            out += session.feed(chunk)
-        out += session.finish()
-        for timing in recorder.take():
-            timing.write = tracker.clock()
-            tracker.complete(timing)
-        return out
-
-    assert benchmark(run)
+    """The same feed loop with per-result provenance stamping (the
+    broker stream is the one stamper): prices the delivery tracker's
+    clock reads per feed cycle and per result."""
+    obs = Observability(spans=False, events=False)
+    obs.enable_delivery()
+    assert benchmark(_broker_feed(shake, obs))
 
 
 def test_profiler_off_fastpath_accepts_bundle(shake):

@@ -106,9 +106,8 @@ class UnionEngine(MultiQueryEngine):
     merged = True
 
     def __init__(self, branches: Sequence[QueryLike], obs=None, *,
-                 shared_dispatch: bool = True, cache=None):
-        super().__init__(branches, obs=obs, shared_dispatch=shared_dispatch,
-                         cache=cache)
+                 cache=None):
+        super().__init__(branches, obs=obs, cache=cache)
         for query in self.queries:
             if isinstance(query.output, AggregateOutput):
                 raise UnsupportedFeatureError(
@@ -132,13 +131,12 @@ class UnionEngine(MultiQueryEngine):
 
     def explain(self) -> str:
         parts = [h.describe() for h in self.hpdts]
-        if self.index is not None:
-            shape = self.index.stats()
-            parts.append(
-                "shared dispatch: %d queries, %d tag buckets, "
-                "%d greedy, max fanout %d"
-                % (shape["queries"], shape["buckets"], shape["greedy"],
-                   shape["max_bucket"]))
+        shape = self.index.stats()
+        parts.append(
+            "shared dispatch: %d queries, %d tag buckets, "
+            "%d greedy, max fanout %d"
+            % (shape["queries"], shape["buckets"], shape["greedy"],
+               shape["max_bucket"]))
         parts.append("\n".join(self.member_selection_notes()))
         return "\n\n".join(parts)
 
@@ -517,10 +515,9 @@ class CompiledQuerySet:
     """
 
     def __init__(self, queries: Sequence[QueryLike], obs=None, cache=None,
-                 shared_dispatch: bool = True, schema=None):
+                 schema=None):
         self.obs = obs
         self._bulk_spec = list(queries)
-        self.shared_dispatch = shared_dispatch
         self._push_session: Optional[PushSession] = None
         self.schema = None
         self.schema_notes: Optional[List[str]] = None
@@ -543,8 +540,7 @@ class CompiledQuerySet:
                 notes.extend(plan.notes)
             queries = simplified
             self.schema_notes = notes
-        self.engine = MultiQueryEngine(queries, obs=obs, cache=cache,
-                                       shared_dispatch=shared_dispatch)
+        self.engine = MultiQueryEngine(queries, obs=obs, cache=cache)
 
     @property
     def engine_name(self) -> str:
@@ -602,8 +598,7 @@ class CompiledQuerySet:
         """
         from repro.parallel.bulk import run_bulk
         kwargs.setdefault("obs", self.obs)
-        return run_bulk(self._bulk_spec, sources, workers=workers,
-                        shared_dispatch=self.shared_dispatch, **kwargs)
+        return run_bulk(self._bulk_spec, sources, workers=workers, **kwargs)
 
     @property
     def stats(self) -> Optional[RunStats]:
@@ -631,10 +626,7 @@ class CompiledQuerySet:
         return self.obs.audit_violations if self.obs is not None else []
 
     def explain(self) -> str:
-        head = self.engine.index.describe() \
-            if self.engine.index is not None \
-            else "<no dispatch index: shared_dispatch=False>"
-        return "\n".join([head, ""]
+        return "\n".join([self.engine.index.describe(), ""]
                          + self.engine.member_selection_notes())
 
     def __repr__(self):

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.streaming.events import Event
-from repro.streaming.sax_source import parse_events
+from repro.streaming.source import coerce_source
 from repro.streaming.serialize import begin_tag_text, escape_text
 from repro.streaming.events import BeginEvent
 from repro.xpath.ast import (
@@ -151,12 +150,11 @@ class DomDocument:
         yield from self.root.iter_descendants()
 
 
-def build_dom(source: Union[str, bytes, Iterable[Event]]) -> DomDocument:
-    """Materialize a document from XML text or an event stream."""
-    if isinstance(source, (str, bytes)):
-        events: Iterable[Event] = parse_events(source)
-    else:
-        events = source
+def build_dom(source) -> DomDocument:
+    """Materialize a document from anything
+    :func:`~repro.streaming.source.coerce_source` accepts (XML text, a
+    path, bytes, a stream, chunks or an event stream)."""
+    events = coerce_source(source).events()
     root: Optional[DomElement] = None
     stack: List[DomElement] = []
     position = 0

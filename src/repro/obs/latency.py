@@ -12,18 +12,16 @@ monotonic clock discipline as :mod:`repro.obs.spans`:
 Each delivered result carries one :class:`ResultTiming` record.  Stages
 stamp it as the result passes: the broker stream stamps feed/batch and,
 after fanning results out to their subscriptions, emit; the server
-stamps dispatch/enqueue/write.  (A bare push handle with a recorder
-stamps entry/emit itself.)  Completed timings fold into a
+stamps dispatch/enqueue/write.  Completed timings fold into a
 :class:`DeliveryTracker` — per-subscription
 ``repro_serve_delivery_seconds`` and per-stage
 ``repro_serve_stage_seconds`` histograms on the shared metrics
 registry, plus bounded in-memory reservoirs for exact p50/p99 in
 ``stats`` responses, ``xsq top`` and ``BENCH_latency.json``.
 
-The disabled path is free by construction: handles carry
-``latency = None`` and every stamp site is one attribute load plus a
-``None`` test, exactly the ``obs is None`` discipline the engines use
-(priced in ``benchmarks/bench_obs_overhead.py``).
+The disabled path is free by construction: the document sessions
+carry no stamp site at all, and a broker stream without a bundle has
+no recorder (priced in ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
@@ -114,10 +112,7 @@ class LatencyRecorder:
     A :class:`~repro.serve.broker.BrokerStream` owns one recorder and
     stamps it itself: ``start_feed``/``mark_batch`` at the transport
     boundary, then :meth:`emitted_to` once its results are fanned out
-    to their subscriptions.  A recorder attached to a bare push
-    handle's ``latency`` slot is stamped by the handle instead
-    (``handle_entry`` and :meth:`emitted` around its drain) and measures
-    the entry-to-emit segment.
+    to their subscriptions.
     """
 
     __slots__ = ("tracker", "clock", "pending", "_feed", "_batch")
@@ -139,33 +134,15 @@ class LatencyRecorder:
         """Stamp the event batch boundary (bytes parsed into events)."""
         self._batch = self.clock()
 
-    def handle_entry(self) -> None:
-        """Stamp feed entry if the transport layer has not already."""
-        if self._feed is None:
-            self._feed = self.clock()
-
-    def emitted(self, count: int) -> None:
-        """Record ``count`` results leaving the engine this cycle.
-
-        All results of one drain share the feed/batch stamps and one
-        emit stamp — emission is a batch boundary, not a per-result
-        event — then the cycle resets for the next feed call.
-        """
-        if count:
-            now = self.clock()
-            feed, batch = self._feed, self._batch
-            self.pending.extend(
-                ResultTiming(feed, batch, now) for _ in range(count))
-        self._feed = None
-        self._batch = None
-
     def emitted_to(self, owners: Sequence[Tuple[str, str]]) -> None:
         """Record one delivered result per ``(sub, tenant)`` in ``owners``.
 
-        The broker's form of :meth:`emitted`: it stamps emission after
-        fanning each engine result out to every subscription that owns
-        its query, so each delivered pair gets its own record, labelled
-        at birth.
+        The broker stamps emission after fanning each engine result out
+        to every subscription that owns its query, so each delivered
+        pair gets its own record, labelled at birth.  All records of
+        one cycle share the feed/batch stamps and one emit stamp —
+        emission is a batch boundary, not a per-result event — then the
+        cycle resets for the next feed call.
         """
         if owners:
             now = self.clock()

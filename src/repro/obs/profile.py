@@ -5,14 +5,16 @@ automaton and buffer phases; :class:`Profiler` reproduces that split
 from *live attribution* instead of separate instrumented builds.  It
 rides the same ``obs=`` seam as the rest of :mod:`repro.obs`:
 
-* **Interpreted engines** (XSQ-F, XSQ-NC, grouped multi-query): the
+* **Interpreted engines** (XSQ-F, XSQ-NC) and **query groups**: the
   document session wraps each runtime's feed (or, in a group, each
-  member's handlers) in a timer that reads the clock at every phase
-  boundary — the time between two consecutive clock reads is attributed
-  to the phase between them, so parse + automaton sum to the session
-  loop's wall time by construction.  Buffer and output sub-phases come from a
-  wrapping :class:`_ProfiledQueue`; predicate evaluation from gated
-  timing inside the matchers' watch scans.
+  matcher member's handlers and each kernel member's ``run_batch``,
+  which the group feeds one tuple at a time) in a timer that reads the
+  clock at every phase boundary — the time between two consecutive
+  clock reads is attributed to the phase between them, so parse +
+  automaton sum to the session loop's wall time by construction.
+  Buffer and output sub-phases come from a wrapping
+  :class:`_ProfiledQueue`; predicate evaluation from gated timing
+  inside the matchers' watch scans.
 * **The compiled fast path** keeps its batched kernel: every batch is
   timed at the batch boundary (four clock reads per ~2048 events,
   noise-level), and *per-event* attribution — hot HPDT state, hot tag,
@@ -316,13 +318,20 @@ class Profiler:
 
         runtime.run_batch = profiled
 
-    def timed_dispatch(self, engine: str, runtimes, labels: List[str]):
+    def timed_dispatch(self, engine: str, runtimes, labels: List[str],
+                       tables):
         """Instrument a group session's members for per-query timing.
 
-        Returns ``(mark, tables)``: the session calls ``mark(event)`` as
-        each event arrives (closing its parse window), and ``tables``
-        are the members' begin/text/end handlers, each timed into its
-        query's row and the current event's tag.
+        ``tables`` are the members' begin/text/end handler tables, with
+        ``None`` for a kernel member.  Returns ``(mark, tables)``: the
+        session calls ``mark(event)`` as each event arrives (closing its
+        parse window), and the returned tables time each handler into
+        its query's row and the current event's tag.  A kernel member
+        keeps ``None`` there; its ``run_batch`` is wrapped in place by
+        the same timer, so the session must bind ``run_batch`` after
+        this call.  The queue proxy :meth:`attach` installs times the
+        buffer ops of both kinds: kernels read ``self.queue`` on every
+        call.
         """
         for runtime in runtimes:
             self.attach(engine, runtime)
@@ -361,10 +370,13 @@ class Profiler:
 
             return call
 
-        tables = tuple([timed(label, getattr(runtime, name))
-                        for runtime, label in zip(runtimes, labels)]
-                       for name in ("on_begin", "on_text", "on_end"))
-        return mark, tables
+        for runtime, label, handler in zip(runtimes, labels, tables[0]):
+            if handler is None:
+                runtime.run_batch = timed(label, runtime.run_batch)
+        return mark, tuple([None if handler is None
+                            else timed(label, handler)
+                            for handler, label in zip(table, labels)]
+                           for table in tables)
 
     # -- report ----------------------------------------------------------
 

@@ -52,11 +52,9 @@ class QueryRunnerSpec:
     #: stitching.
     accepts_obs = True
 
-    def __init__(self, queries, engine: str = "auto",
-                 shared_dispatch: bool = True):
+    def __init__(self, queries, engine: str = "auto"):
         self.queries = queries
         self.engine = engine
-        self.shared_dispatch = shared_dispatch
 
     def setup(self, worker_id: int, obs=None):
         # Imports stay inside setup so a spawned worker pays them once
@@ -68,9 +66,7 @@ class QueryRunnerSpec:
             engine = select_engine(self.queries, self.engine, obs=obs)
         else:
             from repro.xsq.multiquery import MultiQueryEngine
-            engine = MultiQueryEngine(
-                list(self.queries), shared_dispatch=self.shared_dispatch,
-                obs=obs)
+            engine = MultiQueryEngine(list(self.queries), obs=obs)
 
         def run(payload):
             results = engine.run(_payload_source(payload))
@@ -126,7 +122,9 @@ def normalize_source(source, index: int):
         except OSError:
             cost = 1
         return ("path", path), path, max(1, cost)
-    chunks = list(coerced.chunks())
+    # An empty document ships as one empty chunk, so the worker's parser
+    # reports it; an empty list would classify as an empty event stream.
+    chunks = list(coerced.chunks()) or [b""]
     label = getattr(source, "name", None)
     if not isinstance(label, str):
         label = ("<stream #%d>" if hasattr(source, "read")
@@ -236,7 +234,7 @@ class BulkResult:
 
 
 def run_bulk(queries, sources: Iterable, *, workers: Optional[int] = None,
-             engine: str = "auto", shared_dispatch: bool = True,
+             engine: str = "auto",
              chunk_size: int = DEFAULT_CHUNK_SIZE,
              chunk_bytes: int = DEFAULT_CHUNK_BYTES,
              max_inflight_bytes: int = DEFAULT_MAX_INFLIGHT_BYTES,
@@ -282,8 +280,7 @@ def run_bulk(queries, sources: Iterable, *, workers: Optional[int] = None,
     else:
         tasks = (Task(*normalize_source(source, index))
                  for index, source in enumerate(sources))
-    spec = QueryRunnerSpec(queries, engine=engine,
-                           shared_dispatch=shared_dispatch)
+    spec = QueryRunnerSpec(queries, engine=engine)
     pool = TaskPool(spec, workers=workers, chunk_size=chunk_size,
                     chunk_bytes=chunk_bytes,
                     max_inflight_bytes=max_inflight_bytes, obs=obs,

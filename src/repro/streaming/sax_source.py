@@ -78,19 +78,25 @@ def sax_events(chunks: Iterable) -> Iterator[Event]:
     ``bytes`` chunks, parsed by ``xml.sax``.
 
     Chunks go to the parser as given: a ``str`` chunk is text, never
-    re-decoded by the document's declared encoding.
+    re-decoded by the document's declared encoding.  An empty document
+    is a parse error ("no element found"), as on the batch parser.
     """
     out: list = []
     parser = xml.sax.make_parser()
     parser.setFeature(xml.sax.handler.feature_namespaces, False)
     parser.setFeature(xml.sax.handler.feature_external_ges, False)
     parser.setContentHandler(_CollectingHandler(out))
+    fed = False
     try:
         for chunk in chunks:
+            fed = True
             parser.feed(chunk)
             if out:
                 yield from out
                 out.clear()
+        if not fed:
+            # close() skips the final parse of a parser never fed.
+            parser.feed(b"")
         parser.close()
     except xml.sax.SAXParseException as exc:
         raise StreamError("XML parse error: %s" % exc) from exc

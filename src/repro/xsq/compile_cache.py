@@ -9,9 +9,8 @@ registrations of the same query — the "millions of users" case where
 popular queries are compiled once per process, not once per session.
 
 :class:`HpdtCache` is a small thread-safe LRU keyed on the query text,
-with **pinning** (a pinned entry is never evicted — for a product's
-known-hot queries) and hit/miss/eviction counters that the engines
-export through :mod:`repro.obs`.  :func:`compile_hpdt` is the front
+with hit/miss/eviction counters that the engines export through
+:mod:`repro.obs`.  :func:`compile_hpdt` is the front
 door every engine uses; ``cache=False`` bypasses caching entirely and
 ``cache=None`` uses the process-default instance.
 
@@ -19,9 +18,7 @@ Caches are **fork-safe**: every instance registers with an
 ``os.register_at_fork`` handler that hands the child a freshly-created
 lock, so a fork taken while another thread holds a cache lock (the
 worker pool's startup pattern) can never deadlock the child.  Entries
-are kept by default — they are immutable and pre-warm the child — but
-``HpdtCache(clear_on_fork=True)`` drops them instead, for caches whose
-contents must stay process-private.
+are kept — they are immutable and pre-warm the child.
 
 The fast path's lowered transition tables ride along: the first
 :func:`repro.xsq.fastpath.compile_fastplan` call memoizes its
@@ -77,29 +74,18 @@ def _after_fork_in_child() -> None:
     """
     for cache in list(_ALL_CACHES):
         cache._lock = threading.Lock()
-        if cache.clear_on_fork:
-            cache._entries.clear()
-            cache._pinned.clear()
-            cache.hits = cache.misses = cache.evictions = 0
 
 
 class HpdtCache:
-    """Thread-safe LRU of compiled HPDTs with pin support.
+    """Thread-safe LRU of compiled HPDTs; ``maxsize`` bounds the number
+    of entries."""
 
-    ``maxsize`` bounds the number of *unpinned* entries; pinned entries
-    are held forever (until :meth:`unpin` or :meth:`clear`).
-    ``clear_on_fork=True`` empties the cache in forked children (the
-    default keeps the immutable entries as a pre-warmed copy).
-    """
-
-    def __init__(self, maxsize: int = 256, clear_on_fork: bool = False):
+    def __init__(self, maxsize: int = 256):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self.clear_on_fork = clear_on_fork
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Hpdt]" = OrderedDict()
-        self._pinned: Dict[str, Hpdt] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -147,11 +133,9 @@ class HpdtCache:
             return None
         check = query if isinstance(query, Query) else None
         with self._lock:
-            hpdt = self._pinned.get(key)
-            if hpdt is None:
-                hpdt = self._entries.get(key)
-                if hpdt is not None:
-                    self._entries.move_to_end(key)
+            hpdt = self._entries.get(key)
+            if hpdt is not None:
+                self._entries.move_to_end(key)
             if hpdt is not None and (check is None or hpdt.query == check):
                 self.hits += 1
                 return hpdt
@@ -164,66 +148,37 @@ class HpdtCache:
         if key is None:
             return
         with self._lock:
-            if key in self._pinned:
-                return
             self._entries[key] = hpdt
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def pin(self, query: Union[str, Query]) -> Hpdt:
-        """Compile-and-hold: the entry survives any amount of churn."""
-        key = self._key(query)
-        if key is None:
-            raise ValueError("cannot pin a query with no source text")
-        with self._lock:
-            hpdt = self._pinned.get(key) or self._entries.pop(key, None)
-            if hpdt is None:
-                hpdt = Hpdt(parse_query(key))
-                self.misses += 1
-            else:
-                self.hits += 1
-            self._pinned[key] = hpdt
-            return hpdt
-
-    def unpin(self, query: Union[str, Query]) -> None:
-        key = self._key(query)
-        with self._lock:
-            hpdt = self._pinned.pop(key, None)
-            if hpdt is not None:
-                self._entries[key] = hpdt
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-
     def clear(self) -> None:
-        """Drop every entry (pinned included) and reset the counters."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._pinned.clear()
             self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries) + len(self._pinned)
+            return len(self._entries)
 
     def __contains__(self, query: Union[str, Query]) -> bool:
         key = self._key(query)
         with self._lock:
-            return key in self._entries or key in self._pinned
+            return key in self._entries
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions,
-                    "size": len(self._entries) + len(self._pinned),
-                    "pinned": len(self._pinned)}
+                    "size": len(self._entries)}
 
     def __repr__(self):
-        return ("<HpdtCache size=%d/%d pinned=%d hits=%d misses=%d>"
-                % (len(self._entries), self.maxsize, len(self._pinned),
-                   self.hits, self.misses))
+        return ("<HpdtCache size=%d/%d hits=%d misses=%d>"
+                % (len(self._entries), self.maxsize, self.hits,
+                   self.misses))
 
 
 #: The process-default cache every engine shares unless told otherwise.

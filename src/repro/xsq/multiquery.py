@@ -16,9 +16,9 @@ suggested by [YFilter]".  This module is that grouping, in two layers:
 
 Each query still gets its own buffers, predicate instances, depth
 vectors and document-ordered, exactly-once output; only the *routing*
-is shared.  ``shared_dispatch=False`` recovers the dense loop (every
-event to every runtime) for A/B measurement — the bench harness
-compares both against N independent engines.
+is shared.  The tag index is the only router; the bench harness
+(``benchmarks/bench_multiquery.py``) keeps its own dense loop (every
+event to every XSQ-F runtime) as the baseline it measures against.
 
 Every result mode is the one group session
 (:class:`~repro.xsq.push.MultiPushHandle`) fed by a different caller:
@@ -40,12 +40,12 @@ only lowering: every member that lowers to a generated kernel against
 the group's one shared :class:`~repro.xsq.fastpath.TagTable` —
 child-axis paths, and closure paths without predicates or element
 output — runs it on its route-partitioned share of each parser batch,
-and the rest run XSQ-F's matcher, all fed from one parse.  A union
-(whose order comes from XSQ-F's sequence counter), the dense loop, a
-profiler (whose dispatch timer wraps matchers only) and an ``obs``
-bundle with per-event instruments
-(:attr:`repro.obs.Observability.per_event`) lower every member to
-XSQ-F instead; a spans-and-metrics bundle keeps the kernels.  Sessions
+and the rest run XSQ-F's matcher, all fed from one parse.  Only the
+queries and one kind of ``obs`` bundle decide the lowering: a union
+(whose order comes from XSQ-F's sequence counter) and a bundle with
+per-event instruments (:attr:`repro.obs.Observability.per_event`),
+which kernels have no hooks for, lower every member to XSQ-F; a
+spans-and-metrics bundle and a profiler keep the kernels.  Sessions
 that promise order across members (``push()``, ``iter_results()``,
 the union, any ``obs`` session) feed each tuple to its route alone.
 """
@@ -70,9 +70,6 @@ class MultiQueryEngine:
     run stats, dispatch-index gauges and per-event fanout histograms).
     ``cache`` is forwarded to :func:`repro.xsq.compile_cache.compile_hpdt`
     (``None`` = process default, ``False`` = compile fresh).
-    ``shared_dispatch=False`` disables the tag index and feeds every
-    event to every runtime — the pre-index behaviour, kept as the
-    measured baseline.
 
     >>> engine = MultiQueryEngine(["/pub/book/name/text()",
     ...                            "/pub/year/text()"])
@@ -86,7 +83,7 @@ class MultiQueryEngine:
     merged = False
 
     def __init__(self, queries: Sequence[Union[str, Query]], obs=None, *,
-                 shared_dispatch: bool = True, cache=None):
+                 cache=None):
         if not queries:
             raise ValueError("MultiQueryEngine needs at least one query")
         self.obs = obs
@@ -99,24 +96,19 @@ class MultiQueryEngine:
         else:
             self.hpdts = [compile_hpdt(q, cache=cache) for q in queries]
         self.queries: List[Query] = [h.query for h in self.hpdts]
-        self.index: Optional[DispatchIndex] = (
-            DispatchIndex(self.hpdts) if shared_dispatch else None)
+        self.index = DispatchIndex(self.hpdts)
         count = len(self.hpdts)
         self.member_fallbacks: List[Optional[str]] = [None] * count
         self.member_kernel_notes: List[Optional[str]] = [None] * count
         self.fast_group_note: Optional[str] = (
             "a union orders items by XSQ-F's shared sequence counter"
             if self.merged else
-            "shared_dispatch=False pins the interpreted dense loop"
-            if self.index is None else
             "per-event observability needs the interpreted runtimes"
-            if obs is not None and obs.per_event else
-            "the profiler's dispatch timer wraps matchers only"
-            if obs is not None and obs.profiler is not None else None)
+            if obs is not None and obs.per_event else None)
         # The one lowering every session of this engine runs on.
         self._fast = self._lower()
         self.last_stats: Optional[List[RunStats]] = None
-        if obs is not None and self.index is not None:
+        if obs is not None:
             shape = self.index.stats()
             metrics = obs.metrics
             metrics.gauge(
@@ -158,21 +150,18 @@ class MultiQueryEngine:
         kernels.  Each route splits the members an event's tag id
         reaches into ``(kernel members, interpreted members)``.
 
-        When :attr:`fast_group_note` names a reason (a union, the dense
-        loop, a per-event or profiling ``obs`` bundle) every plan is
-        ``None`` and nothing is code-generated.  The dense loop routes
-        every tuple to every member.  An ``obs`` lowering keeps the
-        table open, so the instruments see every event; otherwise, when
-        no member is greedy (no member needs every tag), the table is
-        closed once the id routes have interned every bucketed tag, so
-        the group's parser projects the stream.  Per-member outcomes
+        When :attr:`fast_group_note` names a reason (a union or a
+        per-event ``obs`` bundle) every plan is ``None`` and nothing is
+        code-generated.  An ``obs`` lowering keeps the table open, so
+        the instruments see every event; otherwise, when no member is
+        greedy (no member needs every tag), the table is closed once
+        the id routes have interned every bucketed tag, so the group's
+        parser projects the stream.  Per-member outcomes
         (fallback slugs, kernel notes) land on :attr:`member_fallbacks`
         / :attr:`member_kernel_notes` for ``explain()``.
         """
         tags = TagTable()
         plans: List[Optional[FastPlan]] = [None] * len(self.hpdts)
-        if self.index is None:
-            return tags, plans, {}, ((), tuple(range(len(plans))))
         if self.fast_group_note is None:
             from repro.xsq.codegen import compile_kernel
             for i, hpdt in enumerate(self.hpdts):

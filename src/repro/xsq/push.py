@@ -37,14 +37,9 @@ and the profiler's wrappers are composed around those methods, so every
 mode records the same metrics.  ``finish()`` flushes the buffers, stores
 ``RunStats`` on the engine, records the run and closes the session;
 feeding a closed session raises :class:`StreamError`, and ``finish()``
-is idempotent.
-
-Every session carries a ``latency`` slot (default ``None``) for an
-optional :class:`repro.obs.latency.LatencyRecorder`: when attached, each
-feed call of a push handle stamps entry and emission timestamps onto
-per-result provenance records (the serve broker stamps its group
-session's results itself, after fan-out).  Detached, the cost is one
-attribute load and a ``None`` test per feed call.
+is idempotent.  Delivery latency is not a session concern: the serve
+broker stamps its group session's results itself, after fan-out
+(:class:`repro.obs.latency.LatencyRecorder`).
 """
 
 from __future__ import annotations
@@ -105,15 +100,14 @@ def _observed_feed(obs, name: str, feed, queue):
 
 
 class _Session:
-    """What every session shares: the engine, the event count, the
-    ``latency`` slot and the closed-handle contract."""
+    """What every session shares: the engine, the event count and the
+    closed-handle contract."""
 
     feed_mode = FEED_NONE
 
     def __init__(self, engine):
         self._engine = engine
         self._count = 0
-        self.latency = None
         self.closed = False
 
     @property
@@ -190,13 +184,7 @@ class _Session:
         if self.closed:
             return []
         self.closed = True
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
-        out = self._finish()
-        if latency is not None:
-            latency.emitted(len(out))
-        return out
+        return self._finish()
 
     def _finish(self) -> list:
         return []
@@ -276,19 +264,13 @@ class EventPushHandle(_QuerySession):
         """Feed a batch of events; return the results they determined."""
         if self.closed:
             raise StreamError(_CLOSED)
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
         count = self._count
         feed = self._feed
         for event in events:
             count += 1
             feed(event)
         self._count = count
-        out = self._drain()
-        if latency is not None:
-            latency.emitted(len(out))
-        return out
+        return self._drain()
 
 
 class FastPushHandle(_QuerySession):
@@ -319,15 +301,9 @@ class FastPushHandle(_QuerySession):
         """Feed one chunk of batched tuples; return determined results."""
         if self.closed:
             raise StreamError(_CLOSED)
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
         self._count += len(batch) + getattr(batch, "dropped", 0)
         self._run_batch(batch)
-        out = self._drain()
-        if latency is not None:
-            latency.emitted(len(out))
-        return out
+        return self._drain()
 
 def _event_of(event, names):
     """The :class:`~repro.streaming.events.Event` for one batched
@@ -447,11 +423,6 @@ class MultiPushHandle(_Session):
                          if accounting is not None else None))
             runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
                                            queue=queue))
-        self._subs: List[list] = [[] for _ in runtimes]
-        self._kernels = [(runtime.run_batch, self._subs[i])
-                         for i, (runtime, plan)
-                         in enumerate(zip(runtimes, plans))
-                         if plan is not None]
         # Per-kind handler tables, indexed by member; routes only ever
         # send kernel members tuples, so their slots stay None.
         matchers = [runtime if plan is None else None
@@ -463,11 +434,19 @@ class MultiPushHandle(_Session):
         if obs is not None:
             mark = None
             if obs.profiler is not None:
-                # A profiled lowering runs every member on the matcher.
+                # Times the matchers' handlers and wraps each kernel
+                # member's run_batch in place, so it runs before
+                # anything below binds run_batch.
                 mark, tables = obs.profiler.timed_dispatch(
-                    engine.name, runtimes, [query.text for query in queries])
+                    engine.name, runtimes, [query.text for query in queries],
+                    tables)
             self._observe = self._observer(obs, mark)
         self._begins, self._texts, self._ends = tables
+        self._subs: List[list] = [[] for _ in runtimes]
+        self._kernels = [(runtime.run_batch, self._subs[i])
+                         for i, (runtime, plan)
+                         in enumerate(zip(runtimes, plans))
+                         if plan is not None]
         self._drained = [(i, sink) for i, (sink, stat)
                          in enumerate(zip(sinks, self._stats))
                          if stat is None] if drain else []
@@ -494,18 +473,14 @@ class MultiPushHandle(_Session):
     def _observer(self, obs, mark):
         """The per-tuple instruments of an ``obs`` session: the
         profiler's arrival ``mark`` (or None) and the event hook, fed
-        the tuple's Event, and under shared dispatch the fanout
-        histogram."""
+        the tuple's Event, and the fanout histogram."""
+        from repro.obs.metrics import FANOUT_BUCKETS
         hooks = [hook for hook in (mark, obs.event_hook())
                  if hook is not None]
-        fanout = None
-        engine = self._engine
-        if engine.index is not None:
-            from repro.obs.metrics import FANOUT_BUCKETS
-            fanout = obs.metrics.histogram(
-                "repro_dispatch_fanout_queries",
-                "runtimes touched per stream event under shared dispatch",
-                buckets=FANOUT_BUCKETS, engine=engine.name).observe
+        fanout = obs.metrics.histogram(
+            "repro_dispatch_fanout_queries",
+            "runtimes touched per stream event under shared dispatch",
+            buckets=FANOUT_BUCKETS, engine=self._engine.name).observe
         names = self._names
         routes_get = self._routes_get
         default = self._default
@@ -515,9 +490,8 @@ class MultiPushHandle(_Session):
                 shared = _event_of(event, names)
                 for hook in hooks:
                     hook(shared)
-            if fanout is not None:
-                kernels, matchers = routes_get(event[1], default)
-                fanout(len(kernels) + len(matchers))
+            kernels, matchers = routes_get(event[1], default)
+            fanout(len(kernels) + len(matchers))
 
         return observe
 
@@ -578,9 +552,6 @@ class MultiPushHandle(_Session):
         node-set dedupe keys on it."""
         if self.closed:
             raise StreamError(_CLOSED)
-        latency = self.latency
-        if latency is not None:
-            latency.handle_entry()
         count = self._count + getattr(batch, "dropped", 0)
         touch_get = self._touch_get
         default = self._touch_default
@@ -606,8 +577,6 @@ class MultiPushHandle(_Session):
                     out.extend((i, value) for value in sink)
                     del sink[:]
         self._count = count
-        if latency is not None:
-            latency.emitted(len(out))
         return out
 
     def _finish(self) -> list:

@@ -166,15 +166,6 @@ class TestHpdtCache:
         assert cache.stats()["evictions"] == 1
         assert compile_hpdt("/a/text()", cache=cache) is a
 
-    def test_pin_survives_eviction_pressure(self):
-        cache = HpdtCache(maxsize=1)
-        pinned = cache.pin("/keep/me/text()")
-        for i in range(5):
-            compile_hpdt("/churn%d/text()" % i, cache=cache)
-        assert compile_hpdt("/keep/me/text()", cache=cache) is pinned
-        cache.unpin("/keep/me/text()")
-        assert "/keep/me/text()" in cache  # demoted to LRU, not dropped
-
     def test_bypass(self):
         cache = HpdtCache(maxsize=4)
         a = compile_hpdt("/a/text()", cache=cache)
@@ -213,7 +204,7 @@ class TestHpdtCache:
     def test_clear(self):
         cache = HpdtCache(maxsize=4)
         compile_hpdt("/a/text()", cache=cache)
-        cache.pin("/b/text()")
+        compile_hpdt("/b/text()", cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["hits"] == 0

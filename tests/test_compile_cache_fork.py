@@ -2,8 +2,8 @@
 
 The worker pool forks while the parent may be compiling on another
 thread; these tests prove a fork taken at the worst moment — the cache
-lock held — leaves the child with a usable cache, and that child-side
-mutations (pins, entries) never leak back into the parent.
+lock held — leaves the child with a usable cache, pre-warmed with the
+parent's entries.
 """
 
 import os
@@ -77,31 +77,8 @@ class TestForkSafety:
         # Parent's lock still works after the holder lets go.
         assert cache.get(QUERY) is not None
 
-    def test_child_pin_does_not_contaminate_parent(self):
-        cache = HpdtCache(maxsize=8)
-
-        def child():
-            hpdt = cache.pin(QUERY)
-            return hpdt is not None and cache.stats()["pinned"] == 1
-
-        assert _fork_and_check(child)
-        assert cache.stats()["pinned"] == 0
-        assert QUERY not in cache
-
     def test_child_inherits_prewarmed_entries_by_default(self):
         cache = HpdtCache(maxsize=8)
         from repro.xsq.compile_cache import compile_hpdt
         hpdt = compile_hpdt(QUERY, cache=cache)
         assert _fork_and_check(lambda: cache.get(QUERY) is hpdt)
-
-    def test_clear_on_fork_empties_the_child_only(self):
-        cache = HpdtCache(maxsize=8, clear_on_fork=True)
-        from repro.xsq.compile_cache import compile_hpdt
-        compile_hpdt(QUERY, cache=cache)
-        cache.pin(OTHER)
-        assert _fork_and_check(
-            lambda: len(cache) == 0 and cache.stats()["pinned"] == 0
-            and cache.get(QUERY) is None)
-        # Parent keeps everything.
-        assert cache.get(QUERY) is not None
-        assert cache.stats()["pinned"] == 1

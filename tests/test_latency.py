@@ -80,43 +80,37 @@ class TestResultTiming:
         assert record["feed"] == 1.0 and record["write"] is None
 
 
+OWNERS = [("s1", "alice"), ("s2", "bob"), ("s1", "alice")]
+
+
 class TestLatencyRecorder:
     def test_emitted_shares_cycle_stamps(self):
         tracker = DeliveryTracker()
         recorder = tracker.recorder()
         recorder.start_feed()
         recorder.mark_batch()
-        recorder.emitted(3)
+        recorder.emitted_to(OWNERS)
         assert len(recorder.pending) == 3
         feeds = {timing.feed for timing in recorder.pending}
         emits = {timing.emit for timing in recorder.pending}
         assert len(feeds) == 1 and len(emits) == 1
-
-    def test_handle_entry_defers_to_transport_stamp(self):
-        tracker = DeliveryTracker()
-        recorder = tracker.recorder()
-        recorder.start_feed()
-        before = recorder._feed
-        recorder.handle_entry()  # transport already stamped: no-op
-        assert recorder._feed == before
-        recorder.emitted(1)
-        recorder.handle_entry()  # bare-handle use: stamps entry itself
-        assert recorder._feed is not None
+        assert [(t.sub, t.tenant) for t in recorder.pending] == OWNERS
 
     def test_cycle_resets_after_emit(self):
         tracker = DeliveryTracker()
         recorder = tracker.recorder()
         recorder.start_feed()
-        recorder.emitted(1)
+        recorder.emitted_to(OWNERS[:1])
         assert recorder._feed is None and recorder._batch is None
-        recorder.emitted(0)
+        recorder.emitted_to([])
+        assert len(recorder.pending) == 1
         assert recorder.pending[-1].feed is not None  # first cycle kept
 
     def test_take_claims_and_clears(self):
         tracker = DeliveryTracker()
         recorder = tracker.recorder()
         recorder.start_feed()
-        recorder.emitted(2)
+        recorder.emitted_to(OWNERS[:2])
         claimed = recorder.take()
         assert len(claimed) == 2
         assert recorder.take() == []
@@ -187,9 +181,6 @@ class TestBrokerIntegration:
         broker, stream, _, _ = self.run_document(obs)
         assert broker.delivery is obs.delivery
         assert isinstance(stream._latency, LatencyRecorder)
-        # The stream stamps emission itself, after fan-out; the group
-        # session carries no recorder.
-        assert stream._handle.latency is None
 
     def test_timings_labelled_with_owning_subscription(self):
         obs = Observability(spans=False, events=False)

@@ -1,20 +1,23 @@
 """Property-style equivalence: shared dispatch vs independent engines.
 
 The shared dispatch index (repro.xsq.dispatch) must be a pure
-optimization: for ANY query set, MultiQueryEngine's per-query results —
-with the index on or off — must be identical to running each query in
-its own XSQEngine, and the merged mode must be identical in both
-driving modes.  These tests check that over datagen-generated workloads
-(closures, wildcards and predicates sharing prefixes) and over
-handcrafted documents that specifically attack the sparse-stack
-adjacency guards.
+optimization: for ANY query set, MultiQueryEngine's per-query results
+must be identical to running each query in its own XSQEngine and to the
+DOM oracle, and the merged union must be the oracle's node-set union in
+document order, however it is driven.  These tests check that over
+datagen-generated workloads (closures, wildcards and predicates sharing
+prefixes) and over handcrafted documents that specifically attack the
+sparse-stack adjacency guards.
 """
 
 import pytest
 
-from repro.api import UnionEngine
+from repro.api import PushSession, UnionEngine
+from repro.baselines.dom import build_dom, evaluate, match_elements
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
+from repro.xpath.ast import TextOutput
+from repro.xpath.parser import parse_query
 from repro.xsq.engine import XSQEngine
 from repro.xsq.multiquery import MultiQueryEngine
 
@@ -23,13 +26,31 @@ def independent_runs(queries, xml):
     return [XSQEngine(query).run(xml) for query in queries]
 
 
+def oracle_runs(queries, xml):
+    document = build_dom(xml)
+    return [evaluate(document, query) for query in queries]
+
+
+def oracle_union(queries, xml):
+    """The DOM oracle over ``q1 | ... | qN`` (``text()`` branches): one
+    value per distinct text node, in document order."""
+    document = build_dom(xml)
+    values = {}
+    for text in queries:
+        query = parse_query(text)
+        assert isinstance(query.output, TextOutput), text
+        for element in match_elements(document, query):
+            values.update(zip(document.text_positions(element),
+                              element.texts))
+    return [values[position] for position in sorted(values)]
+
+
 def assert_equivalent(queries, xml):
-    """Shared dispatch == dense loop == N independent engines."""
+    """Shared dispatch == DOM oracle == N independent engines."""
     expected = independent_runs(queries, xml)
     shared = MultiQueryEngine(queries).run(xml)
     assert shared == expected, "shared dispatch diverged"
-    dense = MultiQueryEngine(queries, shared_dispatch=False).run(xml)
-    assert dense == expected, "dense multiquery loop diverged"
+    assert shared == oracle_runs(queries, xml), "DOM oracle diverged"
 
 
 class TestHandcraftedSparseGuards:
@@ -117,13 +138,24 @@ class TestHandcraftedSparseGuards:
                           xml)
 
 
+def pushed_union(queries, xml, size=5):
+    """The union from a push session fed ``size``-character chunks."""
+    session = PushSession(UnionEngine(queries).push())
+    out = []
+    for start in range(0, len(xml), size):
+        out += session.feed(xml[start:start + size])
+    return out + session.finish()
+
+
 class TestMergedEquivalence:
     def test_merged_same_under_both_dispatch_modes(self):
+        """run() and a chunked push() session both return the
+        oracle's union."""
         xml = ("<r><x><a>1</a></x><b>2</b><x><a>3</a></x><b>4</b></r>")
         queries = ["//a/text()", "/r/b/text()"]
-        shared = UnionEngine(queries).run(xml)
-        dense = UnionEngine(queries, shared_dispatch=False).run(xml)
-        assert shared == dense == ["1", "2", "3", "4"]
+        merged = UnionEngine(queries).run(xml)
+        assert merged == oracle_union(queries, xml) == ["1", "2", "3", "4"]
+        assert pushed_union(queries, xml) == merged
 
     def test_merged_document_order_with_sparse_members(self):
         xml = "<r><c>3</c><a>1</a><c>4</c><b>2</b></r>"
@@ -208,8 +240,7 @@ class TestGeneratedWorkloads:
             graph, seed=12, max_depth=3, closure_probability=0.3
             ).workload(5)]
         shared = UnionEngine(queries).run(sample)
-        dense = UnionEngine(queries, shared_dispatch=False).run(sample)
-        assert shared == dense
+        assert shared == oracle_union(queries, sample)
 
 
 class TestSharedStatsContract:

@@ -188,6 +188,43 @@ class TestMultiQueryProfiling:
         report = repro.compile(self.QUERIES).profile(DOC)
         assert len(report.queries) == 2
 
+    MIXED = ["/pub/book/title/text()", "//year/text()",
+             "/pub/book[price<8]/title/text()",
+             "//book[price<8]/title/text()", "/pub/book/count()"]
+
+    def test_profiled_set_keeps_its_kernels(self):
+        """A profiler changes neither which runtime serves each member
+        nor what it computes, and times the kernel members too."""
+        plain = repro.compile(self.MIXED)
+        expected = plain.run(DOC)
+        expected_stats = [stats.as_dict() for stats in plain.per_query_stats]
+        runtimes = plain.engine.member_runtimes
+        assert runtimes == ["kernel", "kernel", "kernel", "xsq-f", "kernel"]
+        obs = Observability(events=False, profile=True)
+        profiled = repro.compile(self.MIXED, obs=obs)
+        assert profiled.engine.member_runtimes == runtimes
+        assert profiled.run(DOC) == expected
+        assert [stats.as_dict()
+                for stats in profiled.per_query_stats] == expected_stats
+        report = obs.profiler.report()
+        assert set(report.queries) == set(self.MIXED)
+        for query, runtime in zip(self.MIXED, runtimes):
+            if runtime == "kernel":
+                assert report.queries[query][0] > 0, query
+
+    def test_profiled_kernel_members_time_their_buffer_ops(self):
+        obs = Observability(events=False, profile=True)
+        kernels = repro.compile(self.MIXED[:3], obs=obs)
+        assert set(kernels.engine.member_runtimes) == {"kernel"}
+        kernels.run(DOC)
+        assert obs.profiler.phases["buffer"][1] > 0
+
+    def test_profile_query_times_every_member(self):
+        report = profile_query(self.MIXED, DOC)
+        assert set(report.queries) == set(self.MIXED)
+        assert report.results == sum(
+            len(values) for values in repro.compile(self.MIXED).run(DOC))
+
 
 class TestObservabilityIntegration:
     def test_profiler_off_by_default(self):
