@@ -227,8 +227,9 @@ def test_uninstrumented_runs_bind_plain_methods():
                              ).push()
     assert group._observe is None
     assert group.feed_batch.__func__ is MultiPushHandle._feed_ordered
-    assert group._ends[0] is None
-    assert group._ends[1].__func__ is MatcherRuntime._on_end_plain
+    ends = group._members.tables[2]
+    assert ends[0] is None
+    assert ends[1].__func__ is MatcherRuntime._on_end_plain
 
     plain = OutputQueue([])
     assert plain.new_item.__func__ is OutputQueue._new_item_plain

@@ -3,15 +3,18 @@
 
 Starts the real CLI server as a subprocess on an ephemeral port,
 registers N standing queries from N concurrent subscriber connections,
-streams one document through a separate feeder connection in small
-chunks, and asserts that
+streams three documents one after another through a separate feeder
+connection in small chunks (so the server's query group serves the
+second and third on members reset from the first), and asserts that
 
-* every subscriber receives exactly its own result (fan-out correctness
-  under targeted predicates: subscription ``i`` matches only item
-  ``i``),
-* the feeder's close ack counts every delivered result,
+* for each document, every subscriber receives exactly its own result
+  (fan-out correctness under targeted predicates: subscription ``i``
+  matches only item ``i``, whose value names the document),
+* each document's close ack counts every result it delivered and the
+  same event count as the others (the documents differ only in text),
 * the ``/metrics`` endpoint scrapes cleanly and its
-  ``repro_serve_*`` series agree with what was delivered,
+  ``repro_serve_*`` totals agree with all three documents (results,
+  documents, chunks, bytes),
 * every subscription shows a non-empty per-sub
   ``repro_serve_delivery_seconds`` histogram — the end-to-end latency
   provenance path stamped every delivered result.
@@ -35,11 +38,21 @@ import urllib.request
 HOST = "127.0.0.1"
 
 
-def build_document(count: int) -> str:
+DOCUMENTS = 3
+
+
+def build_document(count: int, doc: int) -> str:
     items = "".join(
-        "<item><id>%d</id><value>v%d</value></item>" % (i, i)
+        "<item><id>%d</id><value>d%d-v%d</value></item>" % (i, doc, i)
         for i in range(count))
     return "<pub>%s</pub>" % items
+
+
+def metric_total(text: str, name: str) -> float:
+    """Sum of one series over all its label sets."""
+    return sum(float(line.rsplit(None, 1)[1])
+               for line in text.splitlines()
+               if line.startswith(name + "{"))
 
 
 async def open_client(port):
@@ -81,45 +94,57 @@ async def run_smoke(args) -> int:
             subscribers.append((reader, writer, sub["sub"], i))
         print("registered %d subscriptions" % len(subscribers))
 
-        # One feeder streams the document in small chunks.
+        # One feeder streams the documents in small chunks; each close
+        # ends one document and the next chunk opens the next.
         _, feeder_writer, feeder_call = await open_client(port)
-        document = build_document(args.subscriptions)
-        for offset in range(0, len(document), args.chunk_size):
-            chunk = document[offset:offset + args.chunk_size]
-            feeder_writer.write(
-                (json.dumps({"op": "chunk", "data": chunk}) + "\n")
-                .encode())
-        await feeder_writer.drain()
-        closed = await feeder_call(op="close")
-        assert closed["ok"], closed
-        assert closed["results"] == args.subscriptions, closed
-        print("document streamed in %d-byte chunks; close ack: %s"
-              % (args.chunk_size, closed))
+        chunks = sent = 0
+        events = []
+        for doc in range(DOCUMENTS):
+            document = build_document(args.subscriptions, doc)
+            for offset in range(0, len(document), args.chunk_size):
+                chunk = document[offset:offset + args.chunk_size]
+                feeder_writer.write(
+                    (json.dumps({"op": "chunk", "data": chunk}) + "\n")
+                    .encode())
+                chunks += 1
+                sent += len(chunk)
+            await feeder_writer.drain()
+            closed = await feeder_call(op="close")
+            assert closed["ok"], closed
+            assert closed["results"] == args.subscriptions, (doc, closed)
+            events.append(closed["events"])
+            print("document %d streamed in %d-byte chunks; close ack: %s"
+                  % (doc, args.chunk_size, closed))
 
-        # Every subscriber got exactly its own value.
-        for reader, writer, sid, i in subscribers:
-            event = json.loads(await asyncio.wait_for(reader.readline(),
-                                                      timeout=30))
-            assert event == {"event": "result", "sub": sid,
-                             "value": "v%d" % i}, (i, event)
+            # Every subscriber got exactly its own value of this
+            # document.
+            for reader, writer, sid, i in subscribers:
+                event = json.loads(await asyncio.wait_for(
+                    reader.readline(), timeout=30))
+                assert event == {"event": "result", "sub": sid,
+                                 "value": "d%d-v%d" % (doc, i)}, (
+                    doc, i, event)
+            print("document %d: all %d subscribers received exactly "
+                  "their own result" % (doc, len(subscribers)))
+        assert events[0] > 0 and events == [events[0]] * DOCUMENTS, events
+        for _, writer, _, _ in subscribers:
             writer.close()
         feeder_writer.close()
-        print("all %d subscribers received exactly their own result"
-              % len(subscribers))
 
-        # Metrics must scrape cleanly and agree with delivery.
+        # Metrics must scrape cleanly and agree with every document.
         text = urllib.request.urlopen(
             metrics_url + "/metrics", timeout=30).read().decode()
         assert "# TYPE repro_serve_results_total counter" in text, (
             text[:400])
-        delivered = sum(
-            float(line.rsplit(None, 1)[1]) for line in text.splitlines()
-            if line.startswith("repro_serve_results_total{"))
-        assert delivered == args.subscriptions, delivered
-        assert "repro_serve_documents_total" in text
+        totals = {name: metric_total(text, "repro_serve_%s_total" % name)
+                  for name in ("results", "documents", "chunks", "bytes")}
+        expected = {"results": DOCUMENTS * args.subscriptions,
+                    "documents": DOCUMENTS, "chunks": chunks, "bytes": sent}
+        assert totals == expected, (totals, expected)
         assert "repro_serve_subscriptions" in text
-        print("metrics scrape ok: repro_serve_results_total == %d"
-              % int(delivered))
+        print("metrics scrape ok: %s" % ", ".join(
+            "repro_serve_%s_total == %d" % (name, int(value))
+            for name, value in totals.items()))
 
         # Per-subscription delivery-latency histograms: each delivered
         # result was stamped feed-entry -> socket-write.  Completion
@@ -136,7 +161,8 @@ async def run_smoke(args) -> int:
                     sub = labels.split('sub="', 1)[1].split('"', 1)[0]
                     seen[sub] = seen.get(sub, 0.0) + float(value)
             if expected_subs <= set(seen) \
-                    and all(seen[sid] >= 1 for sid in expected_subs):
+                    and all(seen[sid] >= DOCUMENTS
+                            for sid in expected_subs):
                 break
             await asyncio.sleep(0.1)
         else:

@@ -361,10 +361,18 @@ class PushSession:
         return self._handle.feed_events(events)
 
     def finish(self) -> list:
-        """End the document; return the tail results and close."""
+        """End the document; return the tail results and close.
+
+        A session fed nothing finishes an empty document, which raises
+        :class:`~repro.errors.StreamError` as ``run(b"")`` does (except
+        for an empty-rewritten query, whose ``run()`` never reads its
+        source).
+        """
         if self.closed:
             return []
         self.closed = True
+        if self._mode is None:
+            self._open_chunk_parser()
         out: list = []
         if self._parser is not None:
             out.extend(self._feed_parsed(self._parser.finish()))

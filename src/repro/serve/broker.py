@@ -29,6 +29,14 @@ independent of any transport:
 * **registry snapshots** — a stream binds the registry at open time;
   subscriptions added mid-document take effect from the next document,
   so every document is evaluated against one consistent query set.
+* **reset, don't rebuild** — each stream opens one group session
+  (:class:`~repro.xsq.push.MultiPushHandle`).  Its member runtimes,
+  output queues and aggregate buffers are the grouped engine's: a
+  finished stream resets them and hands them to the next document, so
+  a run of documents builds them once per engine, not once per
+  document.  A stream opened while another is still open builds its
+  own set, and a finished stream's counts (``events_fed``) stay its
+  own.
 
 Per-tenant accounting flows into an optional
 :class:`~repro.obs.Observability` bundle as ``repro_serve_*`` metrics
@@ -316,21 +324,25 @@ class BrokerStream:
     def _route(self, pairs) -> List[Tuple[str, str]]:
         """Fan each member result out to every subscription that owns
         the member's query; count results per delivered pair (and per
-        owning tenant, when an obs bundle takes the tally)."""
+        owning tenant, when an obs bundle takes the tally).  Only
+        subscriptions still registered are counted."""
         if not pairs:
             return []
         fanout = self._fanout
-        out = []
-        per_member: Dict[int, int] = {}
+        counts = [0] * len(fanout)
+        out: List[Tuple[str, str]] = []
+        append = out.append
         for index, value in pairs:
-            owners = fanout[index]
-            out.extend((sid, value) for sid in owners)
-            per_member[index] = per_member.get(index, 0) + 1
+            counts[index] += 1
+            for sid in fanout[index]:
+                append((sid, value))
         broker = self._broker
         subs = broker._subs
         per_tenant: Optional[Dict[str, int]] = (
             {} if broker.obs is not None else None)
-        for index, n in per_member.items():
+        for index, n in enumerate(counts):
+            if not n:
+                continue
             for sid in fanout[index]:
                 sub = subs.get(sid)
                 if sub is not None:

@@ -51,11 +51,16 @@ class StatBuffer:
             raise ValueError("unknown aggregate %r (expected one of %s)"
                              % (name, ", ".join(_KNOWN)))
         self.name = name
+        self._tracks = track_snapshots
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the empty aggregate, for the next document."""
         self._n = 0
         self._total = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._snapshots: Optional[List[str]] = [] if track_snapshots else None
+        self._snapshots: Optional[List[str]] = [] if self._tracks else None
 
     @property
     def contributions(self) -> int:

@@ -109,25 +109,10 @@ class OutputQueue:
         # buffer state (occupancy, bytes, delays) fed by the same call
         # sites that feed the trace.
         self.account = account
-        self._head: Optional[BufferItem] = None
-        self._tail: Optional[BufferItem] = None
-        self._size = 0
-        self._next_seq = 0
         # A shared seq_source lets several queues (grouped multi-query
         # execution) stamp items with one global document order.
         self._seq_source = seq_source
         self.track_seqs = track_seqs
-        self.emitted_seqs: List[int] = []
-        self.peak_size = 0
-        self.enqueued_total = 0
-        self.cleared_total = 0
-        self.emitted_total = 0
-        self.flushed_total = 0
-        # Uploads are performed only when a trace or an account is
-        # attached (see track_ownership): ownership hops change no
-        # output, so the matcher skips the arithmetic otherwise.  The
-        # counter is therefore 0 in fully un-observed runs.
-        self.uploaded_total = 0
         self.track_ownership = trace is not None or account is not None
         if not self.track_ownership:
             # Un-instrumented runs bind the plain variants once, here,
@@ -140,6 +125,30 @@ class OutputQueue:
             self.value_finalized = self._value_finalized_plain
             self.finish = self._finish_plain
             self._advance = self._advance_plain
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the queue and zero its counters for the next document.
+
+        The sink, trace, account and sequence source stay bound; the
+        caller empties the sink.  Whatever the last document left
+        queued is dropped.
+        """
+        self._head: Optional[BufferItem] = None
+        self._tail: Optional[BufferItem] = None
+        self._size = 0
+        self._next_seq = 0
+        self.emitted_seqs: List[int] = []
+        self.peak_size = 0
+        self.enqueued_total = 0
+        self.cleared_total = 0
+        self.emitted_total = 0
+        self.flushed_total = 0
+        # Uploads are performed only when a trace or an account is
+        # attached (see track_ownership): ownership hops change no
+        # output, so the matcher skips the arithmetic otherwise.  The
+        # counter is therefore 0 in fully un-observed runs.
+        self.uploaded_total = 0
 
     def __len__(self) -> int:
         return self._size

@@ -688,7 +688,7 @@ def _closed(plan: FastPlan, hpdt: Hpdt) -> FastPlan:
 
 
 class FastRuntime:
-    """One deterministic pass over one document, on the plan's kernel.
+    """One deterministic pass per document, on the plan's kernel.
 
     Mirrors :class:`repro.xsq.nc._NCRuntime`'s depth-gated logic —
     including its sparse-feed safety under shared dispatch (at any
@@ -700,6 +700,10 @@ class FastRuntime:
     ``PredicateInstance``, ``Chain`` and ``OutputQueue`` are reused
     unchanged, which is what makes results, order, and RunStats
     counters identical to the interpreted engines.
+
+    :meth:`reset` readies a finished runtime for the next document:
+    the query group keeps its members' runtimes across documents
+    instead of building them again.
     """
 
     def __init__(self, plan: FastPlan, hpdt: Hpdt, sink: list,
@@ -714,29 +718,9 @@ class FastRuntime:
                 "the fast path runs without per-operation instrumentation; "
                 "trace/accounting-bearing queues need an interpreted "
                 "runtime", reason="observability")
-        self.peak_instances = 0
-        if isinstance(plan, ClosurePlan):
-            #: One ``(depth, state, live)`` triple per open element that
-            #: matched a step, over the document root: ``live`` counts
-            #: the matched steps of every open element down to this one.
-            self.stack = [(0, plan.root, 0)]
-            #: Results so far; nothing is buffered, so the queue's
-            #: counters are set from this at ``finish()``.
-            self.results = 0
+        self._closure = isinstance(plan, ClosurePlan)
+        if self._closure:
             self.sink = sink
-        else:
-            self.matched = 0
-            #: Preallocated instance stack: slot m holds the activation
-            #: of step m for the currently matched path (valid for
-            #: m < matched).
-            self.inst_stack: List[Optional[PredicateInstance]] = \
-                [None] * plan.n
-        #: Open element capture: the serialized parts of the matched
-        #: subtree (None outside a match) and its buffered item.  Kept
-        #: on the runtime, not the kernel, so captures survive arbitrary
-        #: batch splits (push mode feeds whatever chunks arrive).
-        self._cap_parts: Optional[List[str]] = None
-        self._cap_item: Optional[BufferItem] = None
         kernel = plan.kernel
         if kernel is None:
             from repro.xsq.codegen import compile_kernel
@@ -744,9 +728,41 @@ class FastRuntime:
         # Bound on the instance so every document session (and the
         # profiler, which wraps it in place) runs the same kernel.
         self.run_batch = kernel[0].__get__(self, FastRuntime)
+        self.reset()
+
+    def reset(self) -> None:
+        """Start the next document: the automaton at its root, no open
+        instance or capture, and an empty queue and aggregate.  Nothing
+        of the last document stays reachable but what the sink holds
+        (the caller empties it)."""
+        self.peak_instances = 0
+        if self._closure:
+            #: One ``(depth, state, live)`` triple per open element that
+            #: matched a step, over the document root: ``live`` counts
+            #: the matched steps of every open element down to this one.
+            self.stack = [(0, self.plan.root, 0)]
+            #: Results so far; nothing is buffered, so the queue's
+            #: counters are set from this at ``finish()``.
+            self.results = 0
+        else:
+            self.matched = 0
+            #: Preallocated instance stack: slot m holds the activation
+            #: of step m for the currently matched path (valid for
+            #: m < matched).
+            self.inst_stack: List[Optional[PredicateInstance]] = \
+                [None] * self.plan.n
+        #: Open element capture: the serialized parts of the matched
+        #: subtree (None outside a match) and its buffered item.  Kept
+        #: on the runtime, not the kernel, so captures survive arbitrary
+        #: batch splits (push mode feeds whatever chunks arrive).
+        self._cap_parts: Optional[List[str]] = None
+        self._cap_item: Optional[BufferItem] = None
+        self.queue.reset()
+        if self.stat is not None:
+            self.stat.reset()
 
     def finish(self) -> None:
-        if isinstance(self.plan, ClosurePlan):
+        if self._closure:
             # XSQ-F enqueues, flushes and emits each result of a
             # predicate-free query at once: one item buffered at a time.
             queue = self.queue
@@ -759,7 +775,7 @@ class FastRuntime:
         """The matched-step count the profiler charges the next event
         to (for a closure plan, the deepest step the nearest matched
         element matches, as XSQ-F reports it)."""
-        if isinstance(self.plan, ClosurePlan):
+        if self._closure:
             here, _down = self.stack[-1][1][7]
             return max(here)
         return self.matched

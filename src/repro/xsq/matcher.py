@@ -347,8 +347,10 @@ class Frame:
 class MatcherRuntime:
     """Drives the HPDT over an event stream, filling ``sink``.
 
-    One instance handles one document; engines construct a fresh runtime
-    per run (the compiled :class:`Hpdt` is reusable across runs).
+    One instance handles one document at a time.  Single-query engines
+    construct a fresh runtime per run (the compiled :class:`Hpdt` is
+    reusable across runs); the query group keeps its members' runtimes
+    and calls :meth:`reset` between documents.
     """
 
     def __init__(self, hpdt: Hpdt, sink: List[str],
@@ -369,15 +371,6 @@ class MatcherRuntime:
         self.queue = queue if queue is not None \
             else OutputQueue(sink, trace=trace, account=account)
         self.account = self.queue.account
-        root_sm = StepMatch(-1, 0, None, None)
-        root_frame = Frame("", 0)
-        root_frame.contexts = [root_sm]
-        self.stack: List[Frame] = [root_frame]
-        self._serializing: List[Frame] = []
-        self._trackers: List[PathTracker] = []
-        # Peak simultaneously-open instances: the runtime memory metric.
-        self._live_instances = 0
-        self.peak_instances = 0
         # Execution profiler (repro.obs.profile); set by
         # Profiler.attach, read inside the watch-scan branches only —
         # un-profiled runs pay one None-test per *watched* event, never
@@ -389,6 +382,24 @@ class MatcherRuntime:
             # binding the plain handler (feed() and the group session's
             # per-kind tables both go through self.on_end).
             self.on_end = self._on_end_plain
+        self.reset()
+
+    def reset(self) -> None:
+        """Start the next document: only the document root open, no
+        instance, serializer or tracker, and an empty queue and
+        aggregate.  Nothing of the last document stays reachable but
+        what the sink holds (the caller empties it)."""
+        root_frame = Frame("", 0)
+        root_frame.contexts = [StepMatch(-1, 0, None, None)]
+        self.stack: List[Frame] = [root_frame]
+        self._serializing: List[Frame] = []
+        self._trackers: List[PathTracker] = []
+        # Peak simultaneously-open instances: the runtime memory metric.
+        self._live_instances = 0
+        self.peak_instances = 0
+        self.queue.reset()
+        if self.stat is not None:
+            self.stat.reset()
 
     # -- public driving --------------------------------------------------
 

@@ -107,6 +107,9 @@ class MultiQueryEngine:
             if obs is not None and obs.per_event else None)
         # The one lowering every session of this engine runs on.
         self._fast = self._lower()
+        # The members a finished plain session left for the next
+        # document (at most one set; see repro.xsq.push.MultiPushHandle).
+        self._idle: list = []
         self.last_stats: Optional[List[RunStats]] = None
         if obs is not None:
             shape = self.index.stats()

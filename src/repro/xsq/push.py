@@ -316,6 +316,118 @@ def _event_of(event, names):
     return TextEvent(names[event[1]], event[2], event[3])
 
 
+class _GroupMembers:
+    """What a group session runs its members on, one entry per member:
+    its runtime (kernel or XSQ-F matcher), sink, aggregate buffer and
+    kernel sub-batch, and the tables bound over them (each kernel
+    member's ``run_batch`` with its sub-batch, the matchers' per-kind
+    handler tables, the sinks a feed drains, the ordered loop's
+    per-route rows).
+
+    A plain session borrows its engine's idle set and gives it back at
+    ``finish()``, :meth:`reset` for the next document, so a run of
+    documents builds the set once.  An ``obs`` session builds its own,
+    with the bundle's trace, accounting and profiler bound in, and
+    never gives it back.
+    """
+
+    def __init__(self, engine, sinks, drain: bool, seq_source=None):
+        queries = engine.queries
+        merged = engine.merged
+        tags, plans, routes, default = engine._fast
+        self.names = tags.names
+        self.routes = routes
+        self.default = default
+        self.sinks = sinks
+        self.stats = [StatBuffer(query.output.name)
+                      if isinstance(query.output, AggregateOutput)
+                      else None for query in queries]
+        obs = engine.obs
+        trace = obs.events if obs is not None else None
+        accounting = obs.accounting if obs is not None else None
+        labels = [query.text for query in queries]
+        if accounting is not None:
+            # Duplicate member queries must not share a ledger (each
+            # queue numbers its items independently).
+            seen: dict = {}
+            for i, text in enumerate(labels):
+                n = seen.get(text, 0)
+                seen[text] = n + 1
+                if n:
+                    labels[i] = "%s #%d" % (text, n + 1)
+        self.runtimes = runtimes = []
+        for plan, hpdt, sink, stat, label in zip(
+                plans, engine.hpdts, sinks, self.stats, labels):
+            if plan is not None:
+                runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat))
+                continue
+            queue = OutputQueue(
+                sink, trace=trace, seq_source=seq_source, track_seqs=merged,
+                account=(accounting.account(label, engine=engine.name)
+                         if accounting is not None else None))
+            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
+                                           queue=queue))
+        # Per-kind handler tables, indexed by member; routes only ever
+        # send kernel members tuples, so their slots stay None.
+        matchers = [runtime if plan is None else None
+                    for runtime, plan in zip(runtimes, plans)]
+        tables = ([m.on_begin if m else None for m in matchers],
+                  [m.on_text if m else None for m in matchers],
+                  [m.on_end if m else None for m in matchers])
+        self.mark = None
+        if obs is not None and obs.profiler is not None:
+            # Times the matchers' handlers and wraps each kernel
+            # member's run_batch in place, so it runs before anything
+            # below binds run_batch.
+            self.mark, tables = obs.profiler.timed_dispatch(
+                engine.name, runtimes, [query.text for query in queries],
+                tables)
+        self.tables = tables
+        self.subs: List[list] = [[] for _ in runtimes]
+        self.kernels = [(runtime.run_batch, self.subs[i])
+                        for i, (runtime, plan)
+                        in enumerate(zip(runtimes, plans))
+                        if plan is not None]
+        self.drained = [(i, sink) for i, (sink, stat)
+                        in enumerate(zip(sinks, self.stats))
+                        if stat is None] if drain else []
+        self._touch = None
+
+    def touch(self):
+        """``(get, default)`` over the ordered loop's per-route rows:
+        what one tuple touches, its kernel members' ``run_batch``, its
+        matchers and the sinks to drain after it (member order, so ties
+        come out in member order).  Built on first use."""
+        if self._touch is None:
+            runtimes = self.runtimes
+            drained = dict(self.drained)
+
+            def touch(route):
+                kernels, matchers = route
+                return (tuple(runtimes[i].run_batch for i in kernels),
+                        matchers,
+                        tuple((i, drained[i]) for i in sorted(kernels
+                                                              + matchers)
+                              if i in drained))
+
+            self._touch = ({tid: touch(route)
+                            for tid, route in self.routes.items()}.get,
+                           touch(self.default))
+        return self._touch
+
+    def reset(self) -> None:
+        """Ready every member for the next document: each runtime with
+        its queue and aggregate reset, every sink and sub-batch empty.
+        The bound tables stay valid: they hold the same runtimes and
+        lists."""
+        for runtime in self.runtimes:
+            runtime.reset()
+        for sink in self.sinks:
+            del sink[:]
+        for sub in self.subs:
+            del sub[:]
+
+
 class MultiPushHandle(_Session):
     """The query group: every member of a
     :class:`~repro.xsq.multiquery.MultiQueryEngine` driven from one
@@ -333,6 +445,15 @@ class MultiPushHandle(_Session):
     sees the begin/end-balanced subsequence of the stream its dispatch
     route gives it, so its results and ``RunStats`` do not depend on
     how the stream is cut.
+
+    The session itself is thin: it owns the document's event count and
+    closed flag and runs on a :class:`_GroupMembers` set.  A plain
+    session (no ``obs`` bundle, engine-owned sinks it drains) borrows
+    the engine's idle set and, at a successful ``finish()``, after
+    ``engine.last_stats`` is computed, resets it and gives it back for
+    the next document, dropping its own reference.  The engine keeps
+    at most one idle set; a session opened while another holds it
+    builds its own.  Any other session builds a set of its own.
 
     Cutting does decide the order *between* members.  Whole batches
     give each member's results in document order, grouped by member:
@@ -367,123 +488,63 @@ class MultiPushHandle(_Session):
 
     def __init__(self, engine, sinks=None, drain: bool = True,
                  ordered: bool = True):
-        queries = engine.queries
-        merged = engine.merged
         super().__init__(engine)
-        if sinks is None:
-            sinks = [[] for _ in queries]
-        elif len(sinks) != len(queries):
-            raise ValueError("expected %d sinks, got %d"
-                             % (len(queries), len(sinks)))
-        self._sinks = sinks
+        merged = engine.merged
+        obs = engine.obs
         self._drains = drain = drain and not merged
         self._merged = merged
-        self._stats = [StatBuffer(query.output.name)
-                       if isinstance(query.output, AggregateOutput)
-                       else None for query in queries]
-        tags, plans, routes, default = engine._fast
-        self.tags = tags
-        self._names = tags.names
-        self._routes_get = routes.get
-        self._default = default
-        obs = engine.obs
-        trace = obs.events if obs is not None else None
-        accounting = obs.accounting if obs is not None else None
-        labels = [query.text for query in queries]
-        if accounting is not None:
-            # Duplicate member queries must not share a ledger (each
-            # queue numbers its items independently).
-            seen: dict = {}
-            for i, text in enumerate(labels):
-                n = seen.get(text, 0)
-                seen[text] = n + 1
-                if n:
-                    labels[i] = "%s #%d" % (text, n + 1)
-        seq_source = None
-        if merged:
-            # One counter across members gives document order; the
-            # stream position each seq was issued at tells the tail
-            # which items are the same node.
-            counter = itertools.count()
-            positions = self._positions = []
+        # Only a session whose sinks the engine owns and drains can
+        # hand its members on: a non-draining session's sinks are its
+        # result, and an obs session's members carry its instruments.
+        self._reuse = obs is None and drain and sinks is None
+        members = None
+        if self._reuse:
+            try:
+                members = engine._idle.pop()
+            except IndexError:
+                pass
+        if members is None:
+            n = len(engine.queries)
+            if sinks is None:
+                sinks = [[] for _ in range(n)]
+            elif len(sinks) != n:
+                raise ValueError("expected %d sinks, got %d"
+                                 % (n, len(sinks)))
+            seq_source = None
+            if merged:
+                # One counter across members gives document order; the
+                # stream position each seq was issued at tells the
+                # tail which items are the same node.
+                counter = itertools.count()
+                positions = self._positions = []
 
-            def seq_source():
-                positions.append(self._count)
-                return next(counter)
+                def seq_source():
+                    positions.append(self._count)
+                    return next(counter)
 
-        self._runtimes = runtimes = []
-        for plan, hpdt, sink, stat, label in zip(
-                plans, engine.hpdts, sinks, self._stats, labels):
-            if plan is not None:
-                runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat))
-                continue
-            queue = OutputQueue(
-                sink, trace=trace, seq_source=seq_source, track_seqs=merged,
-                account=(accounting.account(label, engine=engine.name)
-                         if accounting is not None else None))
-            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
-                                           queue=queue))
-        # Per-kind handler tables, indexed by member; routes only ever
-        # send kernel members tuples, so their slots stay None.
-        matchers = [runtime if plan is None else None
-                    for runtime, plan in zip(runtimes, plans)]
-        tables = ([m.on_begin if m else None for m in matchers],
-                  [m.on_text if m else None for m in matchers],
-                  [m.on_end if m else None for m in matchers])
-        self._observe = None
-        if obs is not None:
-            mark = None
-            if obs.profiler is not None:
-                # Times the matchers' handlers and wraps each kernel
-                # member's run_batch in place, so it runs before
-                # anything below binds run_batch.
-                mark, tables = obs.profiler.timed_dispatch(
-                    engine.name, runtimes, [query.text for query in queries],
-                    tables)
-            self._observe = self._observer(obs, mark)
-        self._begins, self._texts, self._ends = tables
-        self._subs: List[list] = [[] for _ in runtimes]
-        self._kernels = [(runtime.run_batch, self._subs[i])
-                         for i, (runtime, plan)
-                         in enumerate(zip(runtimes, plans))
-                         if plan is not None]
-        self._drained = [(i, sink) for i, (sink, stat)
-                         in enumerate(zip(sinks, self._stats))
-                         if stat is None] if drain else []
+            members = _GroupMembers(engine, sinks, drain, seq_source)
+        self._members = members
+        self.tags = engine._fast[0]
+        self._observe = (self._observer(obs, members)
+                         if obs is not None else None)
         if ordered or merged or obs is not None:
-            # Per route, what one tuple touches: its kernel members'
-            # run_batch, its matchers, and the sinks to drain after it
-            # (member order, so ties come out in member order).
-            self._tables = tables
-            drained = dict(self._drained)
-
-            def touch(route):
-                kernels, matchers = route
-                return (tuple(runtimes[i].run_batch for i in kernels),
-                        matchers,
-                        tuple((i, drained[i]) for i in sorted(kernels
-                                                              + matchers)
-                              if i in drained))
-
-            self._touch_get = {tid: touch(route)
-                               for tid, route in routes.items()}.get
-            self._touch_default = touch(default)
+            self._touch_get, self._touch_default = members.touch()
             self.feed_batch = self._feed_ordered
 
-    def _observer(self, obs, mark):
+    def _observer(self, obs, members):
         """The per-tuple instruments of an ``obs`` session: the
-        profiler's arrival ``mark`` (or None) and the event hook, fed
-        the tuple's Event, and the fanout histogram."""
+        profiler's arrival mark (if any) and the event hook, fed the
+        tuple's Event, and the fanout histogram."""
         from repro.obs.metrics import FANOUT_BUCKETS
-        hooks = [hook for hook in (mark, obs.event_hook())
+        hooks = [hook for hook in (members.mark, obs.event_hook())
                  if hook is not None]
         fanout = obs.metrics.histogram(
             "repro_dispatch_fanout_queries",
             "runtimes touched per stream event under shared dispatch",
             buckets=FANOUT_BUCKETS, engine=self._engine.name).observe
-        names = self._names
-        routes_get = self._routes_get
-        default = self._default
+        names = members.names
+        routes_get = members.routes.get
+        default = members.default
 
         def observe(event):
             if hooks:
@@ -508,13 +569,12 @@ class MultiPushHandle(_Session):
         if self.closed:
             raise StreamError(_CLOSED)
         self._count += len(batch) + getattr(batch, "dropped", 0)
-        routes_get = self._routes_get
-        default = self._default
-        subs = self._subs
-        names = self._names
-        begins = self._begins
-        texts = self._texts
-        ends = self._ends
+        members = self._members
+        routes_get = members.routes.get
+        default = members.default
+        subs = members.subs
+        names = members.names
+        begins, texts, ends = members.tables
         for event in batch:
             kernels, matchers = routes_get(event[1], default)
             for i in kernels:
@@ -532,14 +592,16 @@ class MultiPushHandle(_Session):
                     table = texts
                 for i in matchers:
                     table[i](shared)
-        for run_batch, sub in self._kernels:
+        for run_batch, sub in members.kernels:
             if sub:
                 run_batch(sub)
                 del sub[:]
         out: list = []
-        for i, sink in self._drained:
+        append = out.append
+        for i, sink in members.drained:
             if sink:
-                out.extend((i, value) for value in sink)
+                for value in sink:
+                    append((i, value))
                 del sink[:]
         return out
 
@@ -555,8 +617,8 @@ class MultiPushHandle(_Session):
         count = self._count + getattr(batch, "dropped", 0)
         touch_get = self._touch_get
         default = self._touch_default
-        names = self._names
-        tables = self._tables
+        names = self._members.names
+        tables = self._members.tables
         observe = self._observe
         out: list = []
         for event in batch:
@@ -581,29 +643,38 @@ class MultiPushHandle(_Session):
 
     def _finish(self) -> list:
         engine = self._engine
+        members = self._members
         count = self._count
-        for runtime in self._runtimes:
+        for runtime in members.runtimes:
             runtime.finish()
         # ``events`` is the *global* stream length for every member: all
         # queries share the single pass even when the dispatch index
         # withheld most events from their runtimes.
         engine.last_stats = [RunStats.of(runtime, count)
-                             for runtime in self._runtimes]
+                             for runtime in members.runtimes]
         if engine.obs is not None:
             for run in engine.last_stats:
                 engine.obs.record_run(engine.name, run)
         if self._merged:
             return self._union()
+        sinks, stats = members.sinks, members.stats
         if not self._drains:
             return [[stat.render()] if stat is not None else sink
-                    for sink, stat in zip(self._sinks, self._stats)]
+                    for sink, stat in zip(sinks, stats)]
         out: list = []
-        for i, (sink, stat) in enumerate(zip(self._sinks, self._stats)):
+        for i, (sink, stat) in enumerate(zip(sinks, stats)):
             if stat is not None:
                 out.append((i, stat.render()))
             else:
                 out.extend((i, value) for value in sink)
                 del sink[:]
+        if self._reuse:
+            # The next document may run on these members: this closed
+            # session keeps no way to reach them.
+            self._members = None
+            self._touch_get = self._touch_default = None
+            members.reset()
+            engine._idle[:] = (members,)
         return out
 
     def _union(self) -> list:
@@ -611,8 +682,9 @@ class MultiPushHandle(_Session):
         ``|`` is a node-set union: an item issued at the same stream
         position with the same output spec as one already kept is the
         same node selected by another member, and is dropped."""
+        members = self._members
         tagged: List[Tuple[int, object, str]] = []
-        for runtime, sink in zip(self._runtimes, self._sinks):
+        for runtime, sink in zip(members.runtimes, members.sinks):
             output = runtime.output
             tagged.extend((seq, output, value) for seq, value
                           in zip(runtime.queue.emitted_seqs, sink))

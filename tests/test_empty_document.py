@@ -53,3 +53,30 @@ def test_bulk_empty_document_fails_with_stream_error(query, source):
         run_bulk(query, [SOURCES[source]()], workers=1).results()
     assert info.value.exc_type == "StreamError"
     assert "no element found" in info.value.message
+
+
+def finish_unfed(query, engine="auto"):
+    return lambda source: repro.compile(query, engine=engine).push().finish()
+
+
+UNFED = {"set": finish_unfed(SET),
+         "union": finish_unfed(QUERY + " | //b/text()")}
+for _engine in ("fast", "nc", "f"):
+    UNFED[_engine] = finish_unfed(QUERY, _engine)
+
+
+@pytest.mark.parametrize("mode", sorted(UNFED))
+def test_unfed_push_session_raises_stream_error(mode):
+    """A push session finished without any feed is an empty document."""
+    with pytest.raises(StreamError, match="no element found"):
+        UNFED[mode](None)
+
+
+@pytest.mark.parametrize("query", ["/a/b/parent::c/text()",
+                                   "/a/b/parent::c/count()"])
+def test_unfed_push_of_empty_query_matches_run(query):
+    """An empty-rewritten query never reads its source, so neither
+    run(b"") nor an unfed push session raises."""
+    compiled = repro.compile(query)
+    assert compiled.engine_name == "empty"
+    assert compiled.push().finish() == compiled.run(b"")

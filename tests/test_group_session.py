@@ -136,7 +136,7 @@ def test_push_session_runs_kernels():
     assert ("member 2: //a[b]/text() — xsq-f "
             "(fast path not selected: closure-predicate)") in notes
     session = compiled.push()
-    runtimes = session._handle._runtimes
+    runtimes = session._handle._members.runtimes
     assert [type(r) for r in runtimes] == [FastRuntime, FastRuntime,
                                            MatcherRuntime]
     # Member 2's "x" is determined at <b>, before member 1's "y".
