@@ -10,6 +10,11 @@ generated kernel's:
   (closure elimination);
 * a statically-empty query costs nothing at all;
 * a guaranteed predicate disappears from the HPDT.
+
+The auto rows then compare what ``repro.compile`` actually selects with
+and without the DTD: a closure query must never land on a slower tier
+because a schema is attached (a closure the kernel runs keeps its
+kernel; one it cannot run becomes a union of its expansion).
 """
 
 import pytest
@@ -33,6 +38,12 @@ DBLP_DTD = parse_dtd("""
 CLOSURE_QUERY = "//inproceedings//booktitle/text()"
 GUARANTEED_QUERY = "/dblp/article[title]/year/text()"
 EMPTY_QUERY = "//article//booktitle/text()"  # schema forbids this path
+#: Closures under auto selection: one expansion path, several paths
+#: (a kernel closure), several paths with a predicate (no kernel).
+AUTO_CLOSURE_QUERIES = (CLOSURE_QUERY, "//author/text()",
+                        "//*[author]/year/text()")
+#: Runtime tiers, slowest first.
+TIERS = ("xsq-f", "xsq-nc", "xsq-fast")
 
 
 def schema_aware(query):
@@ -54,6 +65,37 @@ def test_closure_elimination(benchmark, cache, mode):
         engine = XSQEngine(CLOSURE_QUERY)
     results = benchmark(engine.run, path)
     assert results
+
+
+def tier(compiled) -> int:
+    """``compiled``'s rank in :data:`TIERS`; a union ranks at its
+    slowest branch."""
+    if compiled.engine_name == "xsq-union":
+        return min(TIERS.index("xsq-fast" if runtime == "kernel"
+                               else "xsq-f")
+                   for runtime in compiled.engine.member_runtimes)
+    return TIERS.index(compiled.engine_name)
+
+
+@pytest.mark.parametrize("query", AUTO_CLOSURE_QUERIES)
+@pytest.mark.parametrize("mode", ("schema-aware", "unaware"))
+@pytest.mark.benchmark(group="ablation-schema-auto")
+def test_closure_auto(benchmark, cache, mode, query):
+    path = cache.path("dblp")
+    engine = repro.compile(
+        query, schema=DBLP_DTD if mode == "schema-aware" else None)
+    results = benchmark(engine.run, path)
+    assert results
+
+
+def test_auto_schema_tier_never_lower(cache):
+    path = cache.path("dblp")
+    for query in AUTO_CLOSURE_QUERIES:
+        aware = repro.compile(query, schema=DBLP_DTD)
+        unaware = repro.compile(query)
+        assert tier(aware) >= tier(unaware), \
+            (query, aware.engine_name, unaware.engine_name)
+        assert aware.run(path) == unaware.run(path), query
 
 
 @pytest.mark.parametrize("mode", ("schema-aware", "unaware"))

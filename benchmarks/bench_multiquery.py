@@ -19,8 +19,9 @@ document, the wall-clock throughput of three execution strategies:
 
 Each point also records ``union_compile_s``: a cold ``repro.compile``
 (``cache=False``) of the N-branch ``q1 | ... | qN`` query, which lowers
-every branch to XSQ-F once and generates no kernel (a single query at
-N=1; recorded, not gated).
+every branch once, like any query group, and generates a kernel for
+each branch that has one (a single query at N=1; recorded, not gated),
+so it is dominated by code generation.
 
 Outputs one JSON artifact (``BENCH_multiquery.json``) suitable for CI
 archiving, and with ``--check`` exits non-zero unless, at the largest

@@ -200,7 +200,7 @@ def test_uninstrumented_runs_bind_plain_methods():
     """Satellite check: the per-event None-tests are hoisted to setup.
 
     An ``obs=None`` session binds the runtime's plain ``feed`` (single
-    query) or its plain per-kind handlers (query group) and no
+    query) or its members' ``run_batch`` (query group) and no
     observer.  Below it, an un-instrumented :class:`OutputQueue` binds
     the ``_plain`` method variants once in ``__init__``; an
     instrumented one keeps the class methods.  Likewise
@@ -222,14 +222,14 @@ def test_uninstrumented_runs_bind_plain_methods():
     assert session._runtime.queue.new_item.__func__ is \
         OutputQueue._new_item_plain
     # The closure-with-predicate member runs interpreted beside the
-    # kernel member; its handler slot holds the plain matcher method.
+    # kernel member; its runtime's end handler is the plain method.
     group = MultiQueryEngine([QUERY, "//SPEECH[LINE]//SPEAKER/text()"]
                              ).push()
     assert group._observe is None
     assert group.feed_batch.__func__ is MultiPushHandle._feed_ordered
-    ends = group._members.tables[2]
-    assert ends[0] is None
-    assert ends[1].__func__ is MatcherRuntime._on_end_plain
+    kernel, matcher = group._members.runtimes
+    assert not isinstance(kernel, MatcherRuntime)
+    assert matcher.on_end.__func__ is MatcherRuntime._on_end_plain
 
     plain = OutputQueue([])
     assert plain.new_item.__func__ is OutputQueue._new_item_plain

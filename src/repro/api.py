@@ -92,11 +92,13 @@ class UnionEngine(MultiQueryEngine):
     """Top-level union: the one union runner.
 
     Covers a ``q1 | q2`` query and a closure the schema optimizer
-    expanded into several child-axis paths.  The branches run as one
-    query group in one pass; the group's only lowering runs every
-    branch on XSQ-F (no branch is code-generated), whose output queues
-    share one sequence counter, so the union comes out in document
-    order, a node several branches select with the same output once.
+    expanded into several child-axis paths that the kernel cannot run
+    unexpanded.  The branches run as one query group in one pass,
+    lowered like any group: each branch on its generated kernel, or on
+    XSQ-F when it has none (or is a closure-stack plan, which issues no
+    sequence numbers).  Every branch's output queue shares one
+    sequence counter, so the union comes out in document order, a node
+    several branches select with the same output once.
     Results are determined at end of stream, so ``iter_results()`` and
     push feeds yield nothing before ``finish()``.  Aggregate branches
     are rejected: a union of scalar aggregates has no document order.
@@ -193,7 +195,10 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
     compiles schema-aware (transition pruning, eager resolution, static
     no-buffer allocation).  Selection itself considers the *optimized*
     plan — a closure query whose schema expansion is a single child
-    path goes to the fast tiers instead of XSQ-F.  ``schema=None``
+    path goes to the fast tiers instead of XSQ-F.  A closure that
+    expands into several paths stays on its own kernel when it has one
+    and runs as the union of its expansion only when it does not, so a
+    DTD never moves a kernel query off its kernel.  ``schema=None``
     (the default) never imports the schema compiler.
     """
     if choice not in ("auto", "f", "nc", "fast"):
@@ -245,11 +250,18 @@ def select_engine(query: QueryLike, choice: str = "auto", obs=None,
         if schema_plan.is_union and choice == "auto" \
                 and not isinstance(schema_plan.original.output,
                                    AggregateOutput):
-            # Closure expansion produced several child-axis paths:
-            # grouped one-pass execution with document-order merge.
-            engine = UnionEngine(schema_plan.queries, obs=obs,
-                                 cache=cache)
-            engine.schema_plan = schema_plan
+            # Closure expansion produced several child-axis paths.  A
+            # closure the kernel runs stays on its kernel; any other
+            # runs as the one-pass union of its expansion.
+            try:
+                engine = XSQEngineFast(schema_plan.simplified, obs=obs,
+                                       cache=cache, schema=schema)
+            except FastPathUnsupportedError:
+                engine = UnionEngine(schema_plan.queries, obs=obs,
+                                     cache=cache)
+                engine.schema_plan = schema_plan
+                return engine
+            _record_selection(obs, engine.name, "selected")
             return engine
         if not schema_plan.is_union:
             query = schema_plan.queries[0]

@@ -7,11 +7,11 @@ rides the same ``obs=`` seam as the rest of :mod:`repro.obs`:
 
 * **Interpreted engines** (XSQ-F, XSQ-NC) and **query groups**: the
   document session wraps each runtime's feed (or, in a group, each
-  matcher member's handlers and each kernel member's ``run_batch``,
-  which the group feeds one tuple at a time) in a timer that reads the
-  clock at every phase boundary — the time between two consecutive
-  clock reads is attributed to the phase between them, so parse +
-  automaton sum to the session loop's wall time by construction.
+  member's ``run_batch``, which the group feeds one tuple at a time)
+  in a timer that reads the clock at every phase boundary — the time
+  between two consecutive clock reads is attributed to the phase
+  between them, so parse + automaton sum to the session loop's wall
+  time by construction.
   Buffer and output sub-phases come from a wrapping
   :class:`_ProfiledQueue`; predicate evaluation from gated timing
   inside the matchers' watch scans.
@@ -318,20 +318,16 @@ class Profiler:
 
         runtime.run_batch = profiled
 
-    def timed_dispatch(self, engine: str, runtimes, labels: List[str],
-                       tables):
+    def timed_dispatch(self, engine: str, runtimes, labels: List[str]):
         """Instrument a group session's members for per-query timing.
 
-        ``tables`` are the members' begin/text/end handler tables, with
-        ``None`` for a kernel member.  Returns ``(mark, tables)``: the
-        session calls ``mark(event)`` as each event arrives (closing its
-        parse window), and the returned tables time each handler into
-        its query's row and the current event's tag.  A kernel member
-        keeps ``None`` there; its ``run_batch`` is wrapped in place by
-        the same timer, so the session must bind ``run_batch`` after
-        this call.  The queue proxy :meth:`attach` installs times the
-        buffer ops of both kinds: kernels read ``self.queue`` on every
-        call.
+        Wraps every member's ``run_batch`` (kernel or XSQ-F) in place,
+        so the session must bind ``run_batch`` after this call; each
+        call is timed into its query's row and the current event's tag.
+        Returns ``mark``: the session calls ``mark(event)`` as each
+        event arrives (closing its parse window).  The queue proxy
+        :meth:`attach` installs times the buffer ops of both kinds:
+        every member reads ``self.queue`` on each call.
         """
         for runtime in runtimes:
             self.attach(engine, runtime)
@@ -354,13 +350,13 @@ class Profiler:
             tag_cell[1] += 1
             last = t
 
-        def timed(label, handler):
+        def timed(label, run_batch):
             row = queries.setdefault(label, [0.0, 0])
 
-            def call(event):
+            def call(batch):
                 nonlocal last
                 t0 = clock()
-                handler(event)
+                run_batch(batch)
                 t1 = clock()
                 row[0] += t1 - t0
                 row[1] += 1
@@ -370,13 +366,9 @@ class Profiler:
 
             return call
 
-        for runtime, label, handler in zip(runtimes, labels, tables[0]):
-            if handler is None:
-                runtime.run_batch = timed(label, runtime.run_batch)
-        return mark, tuple([None if handler is None
-                            else timed(label, handler)
-                            for handler, label in zip(table, labels)]
-                           for table in tables)
+        for runtime, label in zip(runtimes, labels):
+            runtime.run_batch = timed(label, runtime.run_batch)
+        return mark
 
     # -- report ----------------------------------------------------------
 

@@ -143,6 +143,19 @@ class Batch(list):
     __slots__ = ("dropped",)
 
 
+def event_of(item, names) -> Event:
+    """The :class:`Event` for one batched ``(kind, tag_id, payload,
+    depth)`` tuple, its tag id read through ``names`` (a
+    :class:`~repro.xsq.fastpath.TagTable`'s ``names``): the inverse of
+    :func:`batch_events`."""
+    kind, tag_id, payload, depth = item
+    if kind == BEGIN:
+        return BeginEvent(names[tag_id], payload, depth)
+    if kind == END:
+        return EndEvent(names[tag_id], depth)
+    return TextEvent(names[tag_id], payload, depth)
+
+
 def batch_events(events: Iterable[Event], tags,
                  batch_size: int = 2048) -> Iterator[Batch]:
     """Convert an :class:`Event` iterable into batched-tuple chunks.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.streaming.events import Event
+from repro.streaming.events import Event, event_of
 from repro.streaming.serialize import EventSerializer
 from repro.xpath.ast import (
     AggregateOutput,
@@ -357,8 +357,11 @@ class MatcherRuntime:
                  trace: Optional[BufferTrace] = None,
                  stat: Optional[StatBuffer] = None,
                  queue: Optional[OutputQueue] = None,
-                 account=None, schema_dead=None):
+                 account=None, schema_dead=None,
+                 tag_names: Optional[List[str]] = None):
         self.hpdt = hpdt
+        # The query group's TagTable.names, for run_batch().
+        self.tag_names = tag_names
         # (step_index, tag) -> ((pred_index, dead_tags), ...) from
         # repro.xsq.schema_compile.analyze_runtime; None without schema.
         self._schema_dead = schema_dead
@@ -379,8 +382,8 @@ class MatcherRuntime:
         if self.account is None:
             # The accountant tail in _on_end is the runtime's only
             # per-event obs branch; pay the None-check once per run by
-            # binding the plain handler (feed() and the group session's
-            # per-kind tables both go through self.on_end).
+            # binding the plain handler (feed() and run_batch() both go
+            # through self.on_end).
             self.on_end = self._on_end_plain
         self.reset()
 
@@ -411,6 +414,18 @@ class MatcherRuntime:
             self.on_end(event)
         else:
             self.on_text(event)
+
+    def run_batch(self, batch) -> None:
+        """Feed batched ``(kind, tag_id, payload, depth)`` tuples, their
+        tag ids read through :attr:`tag_names`: how a query group
+        drives an XSQ-F member, the way it drives a kernel member's
+        ``run_batch``.  Each tuple becomes one Event for its kind's
+        handler."""
+        names = self.tag_names
+        # Indexed by tuple kind: BEGIN, TEXT, END.
+        handlers = (self.on_begin, self.on_text, self.on_end)
+        for item in batch:
+            handlers[item[0]](event_of(item, names))
 
     def finish(self) -> None:
         self.queue.finish()
@@ -582,38 +597,16 @@ class MatcherRuntime:
                 holder.serializer.feed(event)
 
     def _on_end(self, event: Event) -> None:
-        if self._serializing:
-            for holder in self._serializing:
-                holder.serializer.feed(event)
-        frame = self.stack.pop()
-        if frame.element_item is not None:
-            frame.element_item.value = frame.serializer.getvalue()
-            self._serializing.remove(frame)
-            self.queue.value_finalized(frame.element_item)
-        if self._trackers:
-            if frame.trackers:
-                # The anchor element closed: its trackers are finished.
-                for tracker in frame.trackers:
-                    tracker.done = True
-                self._trackers = [t for t in self._trackers if not t.done]
-            for tracker in self._trackers:
-                tracker.on_end(event.depth)
-        # NA -> START: every still-undecided activation is now false
-        # (all children seen, none satisfied the predicate).
-        for instance in frame.instances.values():
-            if instance is not FAILED_INSTANCE:
-                self._live_instances -= 1
-                if instance.status is None:
-                    instance.resolve_at_end(self)
+        frame = self._on_end_plain(event)
         if self.account is not None and frame.instances:
             self.account.set_instances(self._live_instances)
 
-    def _on_end_plain(self, event: Event) -> None:
-        """:meth:`_on_end` minus the accountant tail.
+    def _on_end_plain(self, event: Event) -> Frame:
+        """:meth:`_on_end` minus the accountant tail; returns the
+        closed frame.
 
         Bound as ``self.on_end`` when no account is attached (see
-        ``__init__``).  Keep in lockstep with :meth:`_on_end` — only
-        the final accountant block may differ.
+        ``__init__``).
         """
         if self._serializing:
             for holder in self._serializing:
@@ -638,9 +631,10 @@ class MatcherRuntime:
                 self._live_instances -= 1
                 if instance.status is None:
                     instance.resolve_at_end(self)
+        return frame
 
-    # The shared-dispatch driver (repro.xsq.multiquery) routes each
-    # event kind directly, having already branched on it once.
+    # Instance bindings may replace these (the plain end-handler); feed()
+    # and run_batch() always go through them.
     on_begin = _on_begin
     on_text = _on_text
     on_end = _on_end

@@ -30,24 +30,28 @@ Every result mode is the one group session
   determined, interleaved in stream order;
 * :class:`repro.api.UnionEngine`, the one union runner (a top-level
   ``|`` query, or a closure the schema optimizer expanded into several
-  child-axis paths) — one union result list in global document order.
-  Its members' output queues stamp every buffered item from a *shared*
-  sequence counter, so document order across the member queries is
-  just item order.
+  child-axis paths) — one union result list in global document order,
+  determined at end of stream.  Its members' output queues, kernel and
+  XSQ-F alike, stamp every buffered item from a *shared* sequence
+  counter, so document order across the member queries is just item
+  order.
 
 The engine lowers its members once, at construction, and that is its
 only lowering: every member that lowers to a generated kernel against
 the group's one shared :class:`~repro.xsq.fastpath.TagTable` —
 child-axis paths, and closure paths without predicates or element
-output — runs it on its route-partitioned share of each parser batch,
-and the rest run XSQ-F's matcher, all fed from one parse.  Only the
-queries and one kind of ``obs`` bundle decide the lowering: a union
-(whose order comes from XSQ-F's sequence counter) and a bundle with
-per-event instruments (:attr:`repro.obs.Observability.per_event`),
-which kernels have no hooks for, lower every member to XSQ-F; a
-spans-and-metrics bundle and a profiler keep the kernels.  Sessions
-that promise order across members (``push()``, ``iter_results()``,
-the union, any ``obs`` session) feed each tuple to its route alone.
+output — runs that kernel, and the rest run XSQ-F's matcher.  To the
+session both are one kind of member: each gets its route-partitioned
+share of each parser batch through its ``run_batch``, all fed from
+one parse.  Only the queries and one kind of ``obs`` bundle decide the
+lowering: a bundle with per-event instruments
+(:attr:`repro.obs.Observability.per_event`), which kernels have no
+hooks for, lowers every member to XSQ-F; a spans-and-metrics bundle
+and a profiler keep the kernels.  The one rule only a union has: a
+closure-stack kernel writes straight to its sink and issues no
+sequence number, so a union runs that member on XSQ-F.  Sessions that
+promise order across members (``push()``, ``iter_results()``, the
+union, any ``obs`` session) feed each tuple to its route alone.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from repro.xpath.ast import Query
 from repro.xsq.compile_cache import compile_hpdt
 from repro.xsq.dispatch import DispatchIndex, projection_note
 from repro.xsq.engine import RunStats
-from repro.xsq.fastpath import FastPlan, TagTable, compile_fastplan
+from repro.xsq.fastpath import (ClosurePlan, FastPlan, TagTable,
+                                compile_fastplan)
 from repro.xsq.hpdt import Hpdt
 
 
@@ -79,7 +84,8 @@ class MultiQueryEngine:
 
     name = "multiquery"
     #: True on :class:`repro.api.UnionEngine`: sessions return the
-    #: document-order union and every member runs XSQ-F.
+    #: document-order union, every member's queue drawing its item
+    #: seqs from one shared counter.
     merged = False
 
     def __init__(self, queries: Sequence[Union[str, Query]], obs=None, *,
@@ -101,8 +107,6 @@ class MultiQueryEngine:
         self.member_fallbacks: List[Optional[str]] = [None] * count
         self.member_kernel_notes: List[Optional[str]] = [None] * count
         self.fast_group_note: Optional[str] = (
-            "a union orders items by XSQ-F's shared sequence counter"
-            if self.merged else
             "per-event observability needs the interpreted runtimes"
             if obs is not None and obs.per_event else None)
         # The one lowering every session of this engine runs on.
@@ -150,11 +154,13 @@ class MultiQueryEngine:
         every plan's transition-row keys; a member outside the fast-path
         classes (closure with predicates or element output, not()/or(),
         path predicate) gets ``None`` and runs on XSQ-F beside the
-        kernels.  Each route splits the members an event's tag id
-        reaches into ``(kernel members, interpreted members)``.
+        kernels.  In a union a closure-stack plan
+        (:class:`~repro.xsq.fastpath.ClosurePlan`) writes straight to
+        its sink and issues no sequence number for the union's order,
+        so that member runs on XSQ-F too (``union-closure``).
 
-        When :attr:`fast_group_note` names a reason (a union or a
-        per-event ``obs`` bundle) every plan is ``None`` and nothing is
+        When :attr:`fast_group_note` names a reason (a per-event
+        ``obs`` bundle) every plan is ``None`` and nothing is
         code-generated.  An ``obs`` lowering keeps the table open, so
         the instruments see every event; otherwise, when no member is
         greedy (no member needs every tag), the table is closed once
@@ -169,24 +175,21 @@ class MultiQueryEngine:
             from repro.xsq.codegen import compile_kernel
             for i, hpdt in enumerate(self.hpdts):
                 try:
-                    plans[i] = plan = compile_fastplan(hpdt, tags)
+                    plan = compile_fastplan(hpdt, tags)
                 except FastPathUnsupportedError as exc:
                     self.member_fallbacks[i] = exc.reason
                     continue
+                if self.merged and isinstance(plan, ClosurePlan):
+                    self.member_fallbacks[i] = "union-closure"
+                    continue
+                plans[i] = plan
                 self.member_kernel_notes[i] = compile_kernel(plan)[1]
-
-        def split(members):
-            return (tuple(i for i in members if plans[i] is not None),
-                    tuple(i for i in members if plans[i] is None))
-
         routes, default = self.index.id_routes(tags)
         if not default and self.obs is None:
             # No greedy member: every tag some member can react to now
             # has an id, so the parser may drop the rest.
             tags.close()
-        return (tags, plans,
-                {tid: split(members) for tid, members in routes.items()},
-                split(default))
+        return tags, plans, routes, default
 
     @property
     def member_runtimes(self) -> List[str]:

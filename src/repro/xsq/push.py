@@ -21,8 +21,9 @@ There is one session per runtime kind: :class:`EventPushHandle`
 (interpreted single query, fed events), :class:`FastPushHandle`
 (generated kernel, fed batches), :class:`MultiPushHandle` (a query
 group, each member on the runtime the engine lowered it to — its
-kernel or XSQ-F — fed batches; a union's group runs every member on
-XSQ-F and returns the document-order union at ``finish()``) and
+kernel or XSQ-F — and fed its share of each batch through its
+``run_batch``; a union's group returns the document-order union at
+``finish()``) and
 :class:`NullPushHandle` (the empty query).  Concatenating every
 feed's results plus ``finish()`` equals ``run()``, for any split (the
 chunk-split differential suite proves it byte-for-byte).
@@ -49,8 +50,7 @@ import time
 from typing import List, Tuple
 
 from repro.errors import StreamError
-from repro.streaming.events import (BEGIN, END, BeginEvent, EndEvent,
-                                     TextEvent, batch_events)
+from repro.streaming.events import batch_events, event_of
 from repro.streaming.source import coerce_source
 from repro.xpath.ast import AggregateOutput
 from repro.xsq.aggregates import StatBuffer
@@ -305,24 +305,13 @@ class FastPushHandle(_QuerySession):
         self._run_batch(batch)
         return self._drain()
 
-def _event_of(event, names):
-    """The :class:`~repro.streaming.events.Event` for one batched
-    ``(kind, tag_id, payload, depth)`` tuple."""
-    kind = event[0]
-    if kind == BEGIN:
-        return BeginEvent(names[event[1]], event[2], event[3])
-    if kind == END:
-        return EndEvent(names[event[1]], event[3])
-    return TextEvent(names[event[1]], event[2], event[3])
-
-
 class _GroupMembers:
     """What a group session runs its members on, one entry per member:
-    its runtime (kernel or XSQ-F matcher), sink, aggregate buffer and
-    kernel sub-batch, and the tables bound over them (each kernel
-    member's ``run_batch`` with its sub-batch, the matchers' per-kind
-    handler tables, the sinks a feed drains, the ordered loop's
-    per-route rows).
+    its runtime (kernel or XSQ-F matcher, each fed batches through its
+    ``run_batch``), sink, aggregate buffer and sub-batch, and the
+    tables bound over them (each member's ``run_batch`` with its
+    sub-batch, the sinks a feed drains, the ordered loop's per-route
+    rows).
 
     A plain session borrows its engine's idle set and gives it back at
     ``finish()``, :meth:`reset` for the next document, so a run of
@@ -333,9 +322,8 @@ class _GroupMembers:
 
     def __init__(self, engine, sinks, drain: bool, seq_source=None):
         queries = engine.queries
-        merged = engine.merged
         tags, plans, routes, default = engine._fast
-        self.names = tags.names
+        self.names = names = tags.names
         self.routes = routes
         self.default = default
         self.sinks = sinks
@@ -358,36 +346,27 @@ class _GroupMembers:
         self.runtimes = runtimes = []
         for plan, hpdt, sink, stat, label in zip(
                 plans, engine.hpdts, sinks, self.stats, labels):
-            if plan is not None:
-                runtimes.append(FastRuntime(plan, hpdt, sink, stat=stat))
-                continue
+            # A trace or accountant lowers every member to XSQ-F, so a
+            # kernel member's queue never carries one.
             queue = OutputQueue(
-                sink, trace=trace, seq_source=seq_source, track_seqs=merged,
+                sink, trace=trace, seq_source=seq_source,
+                track_seqs=engine.merged,
                 account=(accounting.account(label, engine=engine.name)
                          if accounting is not None else None))
-            runtimes.append(MatcherRuntime(hpdt, sink, stat=stat,
-                                           queue=queue))
-        # Per-kind handler tables, indexed by member; routes only ever
-        # send kernel members tuples, so their slots stay None.
-        matchers = [runtime if plan is None else None
-                    for runtime, plan in zip(runtimes, plans)]
-        tables = ([m.on_begin if m else None for m in matchers],
-                  [m.on_text if m else None for m in matchers],
-                  [m.on_end if m else None for m in matchers])
+            runtimes.append(
+                FastRuntime(plan, hpdt, sink, stat=stat, queue=queue)
+                if plan is not None else
+                MatcherRuntime(hpdt, sink, stat=stat, queue=queue,
+                               tag_names=names))
         self.mark = None
         if obs is not None and obs.profiler is not None:
-            # Times the matchers' handlers and wraps each kernel
-            # member's run_batch in place, so it runs before anything
-            # below binds run_batch.
-            self.mark, tables = obs.profiler.timed_dispatch(
-                engine.name, runtimes, [query.text for query in queries],
-                tables)
-        self.tables = tables
+            # Wraps each member's run_batch in place, so it runs before
+            # anything below binds run_batch.
+            self.mark = obs.profiler.timed_dispatch(
+                engine.name, runtimes, [query.text for query in queries])
         self.subs: List[list] = [[] for _ in runtimes]
-        self.kernels = [(runtime.run_batch, self.subs[i])
-                        for i, (runtime, plan)
-                        in enumerate(zip(runtimes, plans))
-                        if plan is not None]
+        self.batches = [(runtime.run_batch, sub)
+                        for runtime, sub in zip(runtimes, self.subs)]
         self.drained = [(i, sink) for i, (sink, stat)
                         in enumerate(zip(sinks, self.stats))
                         if stat is None] if drain else []
@@ -395,19 +374,16 @@ class _GroupMembers:
 
     def touch(self):
         """``(get, default)`` over the ordered loop's per-route rows:
-        what one tuple touches, its kernel members' ``run_batch``, its
-        matchers and the sinks to drain after it (member order, so ties
-        come out in member order).  Built on first use."""
+        what one tuple touches, its members' ``run_batch`` and the sinks
+        to drain after it (member order, so ties come out in member
+        order).  Built on first use."""
         if self._touch is None:
             runtimes = self.runtimes
             drained = dict(self.drained)
 
             def touch(route):
-                kernels, matchers = route
-                return (tuple(runtimes[i].run_batch for i in kernels),
-                        matchers,
-                        tuple((i, drained[i]) for i in sorted(kernels
-                                                              + matchers)
+                return (tuple(runtimes[i].run_batch for i in route),
+                        tuple((i, drained[i]) for i in route
                               if i in drained))
 
             self._touch = ({tid: touch(route)
@@ -434,17 +410,18 @@ class MultiPushHandle(_Session):
     parse.
 
     The engine's lowering (``MultiQueryEngine._fast``) says which
-    runtime each member runs.  Members that lowered to a
+    runtime each member runs: members that lowered to a
     :class:`~repro.xsq.fastpath.FastPlan` (against the group's one
     shared :class:`~repro.xsq.fastpath.TagTable`) run their generated
-    kernels; the rest run XSQ-F's matcher.  Each batched tuple is
-    routed once by tag id, appended to the sub-batch of every kernel
-    member that must see it, and turned into one
-    :class:`~repro.streaming.events.Event` shared by the matchers that
-    must see it; the kernels then run their sub-batches.  Each member
-    sees the begin/end-balanced subsequence of the stream its dispatch
-    route gives it, so its results and ``RunStats`` do not depend on
-    how the stream is cut.
+    kernels, the rest XSQ-F's matcher.  Both are one kind of member to
+    the session: each batched tuple is routed once by tag id and
+    appended to the sub-batch of every member that must see it, and
+    every member then runs its sub-batch through its ``run_batch``
+    (an XSQ-F member turns each tuple into an
+    :class:`~repro.streaming.events.Event` for its handlers).  Each
+    member sees the begin/end-balanced subsequence of the stream its
+    dispatch route gives it, so its results and ``RunStats`` do not
+    depend on how the stream is cut.
 
     The session itself is thin: it owns the document's event count and
     closed flag and runs on a :class:`_GroupMembers` set.  A plain
@@ -471,10 +448,10 @@ class MultiPushHandle(_Session):
     * default: every feed returns ``(query_index, value)`` pairs;
       aggregate members surface their final value at ``finish()``;
     * a :class:`repro.api.UnionEngine` (``engine.merged``): the union.
-      Every member runs XSQ-F, feeds return nothing, and ``finish()``
-      returns the document-order union, through a sequence counter
-      shared by every member's queue.  A node that several members
-      select with the same output is returned once;
+      Feeds return nothing, and ``finish()`` returns the
+      document-order union, through a sequence counter shared by every
+      member's queue, kernel and XSQ-F alike.  A node that several
+      members select with the same output is returned once;
     * ``drain=False``: ``run()``'s session.  Results stay in ``sinks``
       and ``finish()`` returns the per-query result lists.
 
@@ -548,11 +525,10 @@ class MultiPushHandle(_Session):
 
         def observe(event):
             if hooks:
-                shared = _event_of(event, names)
+                shared = event_of(event, names)
                 for hook in hooks:
                     hook(shared)
-            kernels, matchers = routes_get(event[1], default)
-            fanout(len(kernels) + len(matchers))
+            fanout(len(routes_get(event[1], default)))
 
         return observe
 
@@ -573,26 +549,10 @@ class MultiPushHandle(_Session):
         routes_get = members.routes.get
         default = members.default
         subs = members.subs
-        names = members.names
-        begins, texts, ends = members.tables
         for event in batch:
-            kernels, matchers = routes_get(event[1], default)
-            for i in kernels:
+            for i in routes_get(event[1], default):
                 subs[i].append(event)
-            if matchers:
-                kind = event[0]
-                if kind == BEGIN:
-                    shared = BeginEvent(names[event[1]], event[2], event[3])
-                    table = begins
-                elif kind == END:
-                    shared = EndEvent(names[event[1]], event[3])
-                    table = ends
-                else:
-                    shared = TextEvent(names[event[1]], event[2], event[3])
-                    table = texts
-                for i in matchers:
-                    table[i](shared)
-        for run_batch, sub in members.kernels:
+        for run_batch, sub in members.batches:
             if sub:
                 run_batch(sub)
                 del sub[:]
@@ -607,18 +567,16 @@ class MultiPushHandle(_Session):
 
     def _feed_ordered(self, batch: list) -> List[Tuple[int, object]]:
         """:meth:`feed_batch` one tuple at a time: each tuple runs only
-        its route's kernel members and matchers, and their pairs come
-        out before the next tuple's, so pairs interleave across members
-        in stream order (ties in member order).  The event count
-        advances before each tuple's handlers run: the merged union's
-        node-set dedupe keys on it."""
+        its route's members, and their pairs come out before the next
+        tuple's, so pairs interleave across members in stream order
+        (ties in member order).  The event count advances before each
+        tuple's members run: the merged union's node-set dedupe keys
+        on it."""
         if self.closed:
             raise StreamError(_CLOSED)
         count = self._count + getattr(batch, "dropped", 0)
         touch_get = self._touch_get
         default = self._touch_default
-        names = self._members.names
-        tables = self._members.tables
         observe = self._observe
         out: list = []
         for event in batch:
@@ -626,14 +584,10 @@ class MultiPushHandle(_Session):
             self._count = count
             if observe is not None:
                 observe(event)
-            runs, matchers, drained = touch_get(event[1], default)
+            runs, drained = touch_get(event[1], default)
+            one = (event,)
             for run_batch in runs:
-                run_batch((event,))
-            if matchers:
-                table = tables[event[0]]
-                shared = _event_of(event, names)
-                for i in matchers:
-                    table[i](shared)
+                run_batch(one)
             for i, sink in drained:
                 if sink:
                     out.extend((i, value) for value in sink)
@@ -685,7 +639,7 @@ class MultiPushHandle(_Session):
         members = self._members
         tagged: List[Tuple[int, object, str]] = []
         for runtime, sink in zip(members.runtimes, members.sinks):
-            output = runtime.output
+            output = runtime.hpdt.query.output
             tagged.extend((seq, output, value) for seq, value
                           in zip(runtime.queue.emitted_seqs, sink))
         tagged.sort(key=lambda item: item[0])

@@ -208,6 +208,9 @@ class Plan:
         self.original = original
         self.empty = False
         self.queries: List[Query] = [original]
+        #: The query after predicate simplification, before closure
+        #: expansion.
+        self.simplified: Query = original
         self.notes: List[str] = []
 
     @property
@@ -256,6 +259,7 @@ def optimize(dtd: Dtd, query: Union[str, Query],
         plan.queries = []
         return plan
     plan.queries = [simplified]
+    plan.simplified = simplified
 
     if simplified.has_closure and not dtd.is_recursive():
         expanded = _eliminate_closures(dtd, simplified, max_expansions)

@@ -142,8 +142,10 @@ class TestUnionIsNodeSet:
 
 
 class TestUnionLowering:
-    """A union's only lowering is all-XSQ-F, fixed at construction: no
-    branch is lowered to a FastPlan or code-generated."""
+    """A union lowers like any query group, once, at construction: each
+    branch on its generated kernel, or on XSQ-F when it has none.  A
+    closure-stack branch issues no sequence numbers, so inside a union
+    it runs XSQ-F (``union-closure``)."""
 
     DTD = """
         <!ELEMENT lib (shelf*, box*)>
@@ -172,33 +174,38 @@ class TestUnionLowering:
                             counting(multiquery.compile_fastplan))
         return calls
 
-    def test_bar_union_generates_no_kernel(self, lowerings):
+    def test_bar_union_lowers_child_branches_to_kernels(self, lowerings):
         compiled = repro.compile("/lib/shelf/item/text() | //item/text()",
                                  cache=False)
         assert isinstance(compiled.engine, UnionEngine)
-        assert compiled.engine.member_runtimes == ["xsq-f", "xsq-f"]
+        assert compiled.engine.member_runtimes == ["kernel", "xsq-f"]
+        assert compiled.engine.member_fallbacks == [None, "union-closure"]
         assert compiled.run(self.DOC) == ["s1", "b1"]
         session = compiled.push()
         assert session.feed(self.DOC) == []
         assert session.finish() == ["s1", "b1"]
-        assert lowerings == []
-        # A query set over the same branches does lower them.
-        repro.compile(["/lib/shelf/item/text()", "//item/text()"],
-                      cache=False)
-        assert lowerings.count("compile_kernel") == 2
+        # Both branches are lowered; only the kernel branch is
+        # code-generated.
+        assert lowerings.count("compile_fastplan") == 2
+        assert lowerings.count("compile_kernel") == 1
+        assert repro.compile(
+            "/dblp/article/title/text() | /dblp/inproceedings/title/text()"
+        ).engine.member_runtimes == ["kernel", "kernel"]
 
-    def test_schema_expanded_union_generates_no_kernel(self, lowerings):
+    def test_schema_expanded_union_lowers_to_kernels(self, lowerings):
         from repro.streaming.dtd import parse_dtd
         dtd = parse_dtd(self.DTD, root="lib")
-        compiled = repro.compile("//item/text()", schema=dtd, cache=False)
+        # A predicate closure has no kernel of its own, so the schema
+        # expands it into a union, whose child-axis branches do.
+        compiled = repro.compile("//*[item]/item/text()", schema=dtd,
+                                 cache=False)
         assert isinstance(compiled.engine, UnionEngine)
-        assert compiled.engine.member_runtimes == ["xsq-f", "xsq-f"]
+        assert compiled.engine.member_runtimes == ["kernel", "kernel"]
         assert compiled.run(self.DOC) == ["s1", "b1"]
-        assert lowerings == []
+        assert lowerings.count("compile_kernel") == 2
 
     def test_explain_names_the_lowering(self):
         notes = repro.compile("/r/a/text() | //a/text()").explain()
-        for member in ("member 0: /r/a/text() — xsq-f",
-                       "member 1: //a/text() — xsq-f"):
-            assert member + " (a union orders items by XSQ-F's shared " \
-                "sequence counter)" in notes
+        assert "member 0: /r/a/text() — kernel (generated kernel" in notes
+        assert ("member 1: //a/text() — xsq-f "
+                "(fast path not selected: union-closure)") in notes

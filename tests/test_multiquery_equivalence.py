@@ -16,7 +16,7 @@ from repro.api import PushSession, UnionEngine
 from repro.baselines.dom import build_dom, evaluate, match_elements
 from repro.datagen.dblp import generate_dblp
 from repro.datagen.queries import TagGraph, QueryWorkloadGenerator
-from repro.xpath.ast import TextOutput
+from repro.xpath.ast import ElementOutput, TextOutput
 from repro.xpath.parser import parse_query
 from repro.xsq.engine import XSQEngine
 from repro.xsq.multiquery import MultiQueryEngine
@@ -32,16 +32,19 @@ def oracle_runs(queries, xml):
 
 
 def oracle_union(queries, xml):
-    """The DOM oracle over ``q1 | ... | qN`` (``text()`` branches): one
-    value per distinct text node, in document order."""
+    """The DOM oracle over ``q1 | ... | qN`` (``text()`` or element
+    branches): one value per distinct node, in document order."""
     document = build_dom(xml)
     values = {}
     for text in queries:
         query = parse_query(text)
-        assert isinstance(query.output, TextOutput), text
         for element in match_elements(document, query):
-            values.update(zip(document.text_positions(element),
-                              element.texts))
+            if isinstance(query.output, TextOutput):
+                values.update(zip(document.text_positions(element),
+                                  element.texts))
+            else:
+                assert isinstance(query.output, ElementOutput), text
+                values[element.position] = element.serialize()
     return [values[position] for position in sorted(values)]
 
 
@@ -162,6 +165,31 @@ class TestMergedEquivalence:
         queries = ["/r/a/text()", "/r/b/text()", "/r/c/text()"]
         merged = UnionEngine(queries).run(xml)
         assert merged == ["3", "1", "4", "2"]
+
+
+class TestMixedKernelUnion:
+    """A union whose branches lower to different runtimes: a kernel
+    branch and an XSQ-F branch that select the same nodes still give
+    the oracle's node-set union in every mode."""
+
+    XML = ('<r><a id="x">1</a><b><a>2</a></b>'
+           '<a id="y">3<a id="w">4</a></a></r>')
+
+    @pytest.mark.parametrize("queries", [
+        ["/r/a/text()", "//a/text()"],
+        ["/r/a", "//a"],
+    ])
+    def test_every_mode_matches_oracle(self, queries):
+        xml = self.XML
+        engine = UnionEngine(queries)
+        assert engine.member_runtimes == ["kernel", "xsq-f"]
+        expected = oracle_union(queries, xml)
+        assert engine.run(xml) == expected
+        assert list(engine.iter_results(xml)) == expected
+        for offset in range(len(xml) + 1):
+            session = PushSession(engine.push())
+            out = session.feed(xml[:offset]) + session.feed(xml[offset:])
+            assert out + session.finish() == expected, offset
 
 
 class TestIterResults:

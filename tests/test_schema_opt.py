@@ -196,7 +196,9 @@ class TestClosureElimination:
             <!ELEMENT box (item*)>
             <!ELEMENT item (#PCDATA)>
         """, root="lib")
-        engine = repro.compile("//item/text()", schema=dtd)
+        # A predicate closure has no kernel of its own: it runs as the
+        # union of its expansion.
+        engine = repro.compile("//*[item]/item/text()", schema=dtd)
         assert isinstance(engine.engine, UnionEngine)
         assert engine.engine.schema_plan.is_union
         assert len(engine.engine.schema_plan.queries) == 2
@@ -204,6 +206,24 @@ class TestClosureElimination:
                "<box><item>b1</item></box>"
                "<box><item>b2</item></box></lib>")
         assert engine.run(doc) == ["s1", "b1", "b2"]
+
+    def test_kernel_closure_stays_on_its_kernel(self):
+        dtd = parse_dtd("""
+            <!ELEMENT lib (shelf*, box*)>
+            <!ELEMENT shelf (item*)>
+            <!ELEMENT box (item*)>
+            <!ELEMENT item (#PCDATA)>
+        """, root="lib")
+        # The schema expands //item into two paths, but the closure
+        # already runs on a kernel: a DTD must not demote it.
+        assert optimize(dtd, "//item/text()").is_union
+        engine = repro.compile("//item/text()", schema=dtd)
+        assert engine.engine_name == "xsq-fast"
+        doc = ("<lib><shelf><item>s1</item></shelf>"
+               "<box><item>b1</item></box>"
+               "<box><item>b2</item></box></lib>")
+        assert engine.run(doc) == ["s1", "b1", "b2"]
+        assert engine.run(doc) == repro.compile("//item/text()").run(doc)
 
     def test_expansion_cap_falls_back(self):
         dtd = parse_dtd("""
