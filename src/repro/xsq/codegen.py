@@ -237,12 +237,17 @@ def _generate(plan):
         w(5, "instance.resolve_at_end(self)")
 
     # -- TEXT --------------------------------------------------------------
+    has_child_text = [bool(plan.child_text_named[m])
+                      or bool(plan.child_text_default[m])
+                      for m in range(n + 1)]
     text_states = []
     for m in range(1, n + 1):
-        own = bool(plan.text_tests[m]) or (
+        # ``up``: the matched element is itself a direct child whose
+        # own text decides step m-2's category-5 predicates.
+        up = has_child_text[m - 1]
+        own = bool(plan.text_tests[m]) or up or (
             m == n and out_kind in ("text", "agg"))
-        child = bool(plan.child_text_named[m]) \
-            or bool(plan.child_text_default[m])
+        child = has_child_text[m]
         if own or child:
             text_states.append((m, own, child))
     if text_states or element:
@@ -485,7 +490,8 @@ def _emit_begin_output(e, plan, ind, simple):
 
 
 def _emit_text_own(e, plan, m, ind, simple):
-    """Text event at depth m, state m: category-2 tests + text output."""
+    """Text event at depth m, state m: category-2 tests, the parent's
+    category-5 tests on this (matched) child, then text output."""
     w = e.w
     tests = plan.text_tests[m]
     if tests:
@@ -497,6 +503,8 @@ def _emit_text_own(e, plan, m, ind, simple):
             w(ind + 1, "if %d in pending and %s(event[2]):"
               % (pred_index, name))
             w(ind + 2, "instance.witness(%d, self)" % pred_index)
+    if plan.child_text_named[m - 1] or plan.child_text_default[m - 1]:
+        _emit_text_child(e, plan, m - 1, ind, fallthrough=True)
     if m == plan.n:
         out_kind = plan.out_kind
         if out_kind == "text":
@@ -511,8 +519,13 @@ def _emit_text_own(e, plan, m, ind, simple):
                             on_emit="self._agg_emitter(fval)")
 
 
-def _emit_text_child(e, plan, m, ind):
-    """Text event at depth m+1, state m: category-5 tests by child tag."""
+def _emit_text_child(e, plan, m, ind, fallthrough=False):
+    """Text event at depth m+1, state m: category-5 tests by child tag.
+
+    A named tag's block ends the event with ``continue`` unless
+    ``fallthrough`` (the caller still has work for this event); then the
+    wildcard block is guarded by a set test instead.
+    """
     w = e.w
     named = plan.child_text_named[m]
     default = plan.child_text_default[m]
@@ -532,8 +545,13 @@ def _emit_text_child(e, plan, m, ind):
         for tid, entries in sorted(named.items()):
             w(ind, "if tid == %d:" % tid)
             entries_block(entries, ind + 1)
-            w(ind + 1, "continue")
+            if not fallthrough:
+                w(ind + 1, "continue")
     if default:
+        if named and fallthrough:
+            w(ind, "if tid not in {%s}:"
+              % ", ".join(str(tid) for tid in sorted(named)))
+            ind += 1
         entries_block(default, ind)
 
 

@@ -233,22 +233,31 @@ class _NCRuntime:
                 if prof is not None:
                     prof.add_phase("predicate", prof.clock() - t0,
                                    len(frame.text_watch))
+            # The matched element may itself be the child whose text
+            # decides its parent's category-5 predicates
+            # (``/b[a<1]/a``): witness before buffering the result.
+            if matched >= 2 and frames[-2].child_text_watch:
+                self._child_text(frames[-2], event)
             if matched == self.n:
                 self._on_result_text(event)
         elif depth == matched + 1 and frames and frames[-1].child_text_watch:
             # Text inside a direct child of the deepest matched element
             # may decide its category-5 predicates.
-            prof = self.prof
-            t0 = prof.clock() if prof is not None else 0.0
-            for instance, pred_index, predicate in frames[-1].child_text_watch:
-                if (instance.status is None
-                        and pred_index in instance.pending
-                        and Bpdt.child_text_verdict(predicate, event.tag,
-                                                    event.text)):
-                    instance.witness(pred_index, self)
-            if prof is not None:
-                prof.add_phase("predicate", prof.clock() - t0,
-                               len(frames[-1].child_text_watch))
+            self._child_text(frames[-1], event)
+
+    def _child_text(self, parent: _NCFrame, event: Event) -> None:
+        """Run ``parent``'s category-5 watches on a direct child's text."""
+        prof = self.prof
+        t0 = prof.clock() if prof is not None else 0.0
+        for instance, pred_index, predicate in parent.child_text_watch:
+            if (instance.status is None
+                    and pred_index in instance.pending
+                    and Bpdt.child_text_verdict(predicate, event.tag,
+                                                event.text)):
+                instance.witness(pred_index, self)
+        if prof is not None:
+            prof.add_phase("predicate", prof.clock() - t0,
+                           len(parent.child_text_watch))
 
     def _on_end(self, event: Event) -> None:
         frames = self.frames

@@ -134,6 +134,19 @@ def test_buffered_predicate_resolution_order():
     assert results == ["Later"]
 
 
+@pytest.mark.parametrize("query,expected", [
+    ("/b[a<1]/a/text()", ["0", "5"]),
+    ("/b[a<1]/a", ["<a>0</a>", "<a>5</a>"]),
+    ("/b[a<1][*<1]/a/text()", ["0", "5"]),
+    ("/b[a>7]/a/text()", []),
+])
+def test_matched_child_decides_parent_child_text_predicate(query, expected):
+    # The output element is also the child whose text decides the
+    # parent's category-5 predicate: its own text must witness it.
+    xml = "<b><a>0</a><a>5</a></b>"
+    assert assert_equivalent(query, xml) == expected
+
+
 def test_iter_results_match_run():
     engine = XSQEngineFast("/pub/book[year>2000]/name/text()")
     assert list(engine.iter_results(MATRIX_XML)) == engine.run(MATRIX_XML)
