@@ -12,14 +12,20 @@ generated kernel's:
 * a guaranteed predicate disappears from the HPDT.
 
 The auto rows then compare what ``repro.compile`` actually selects with
-and without the DTD: a closure query must never land on a slower tier
-because a schema is attached (a closure the kernel runs keeps its
-kernel; one it cannot run becomes a union of its expansion).
+and without the DTD: a query must never land on a slower tier because a
+schema is attached (a closure the kernel runs keeps its kernel; one it
+cannot run becomes a union of its expansion).  The check runs over the
+closure queries, the paper's DBLP queries, ``not()``/``or()`` queries
+and a seeded sample from the query workload generator.
 """
+
+import random
 
 import pytest
 
 import repro
+from repro.bench.figures import DATASET_QUERIES, FIG19_QUERY
+from repro.datagen import QueryWorkloadGenerator, TagGraph
 from repro.streaming.dtd import parse_dtd
 from repro.xsq.engine import XSQEngine
 
@@ -42,8 +48,40 @@ EMPTY_QUERY = "//article//booktitle/text()"  # schema forbids this path
 #: (a kernel closure), several paths with a predicate (no kernel).
 AUTO_CLOSURE_QUERIES = (CLOSURE_QUERY, "//author/text()",
                         "//*[author]/year/text()")
-#: Runtime tiers, slowest first.
-TIERS = ("xsq-f", "xsq-nc", "xsq-fast")
+#: The paper's DBLP queries (Figures 17 and 19).
+PAPER_QUERIES = (DATASET_QUERIES["dblp"], FIG19_QUERY)
+#: Child-axis and closure queries with ``not()`` / ``or()`` predicates,
+#: which ``auto`` runs on XSQ-NC (or XSQ-F under a closure).
+BOOLEAN_QUERIES = (
+    "/dblp/article[not(journal)]/title/text()",
+    "/dblp/article[journal or volume]/year/text()",
+    "/dblp/inproceedings[not(author)]/title/text()",
+    "/dblp/inproceedings[booktitle or url]/pages/text()",
+    "/dblp/*[not(booktitle)]/author/text()",
+    "/dblp/article[not(volume)]/journal",
+    "//article[volume or journal]/title/text()",
+    "//inproceedings[not(url)]/booktitle/text()",
+)
+#: Sampled queries: ``QueryWorkloadGenerator`` walks over the corpus's
+#: tag graph with predicates, ``*`` and ``//``.
+SAMPLED_COUNT = 40
+SAMPLE_SEED = 2003
+#: Runtime tiers, slowest first.  A statically empty query runs
+#: nothing, so ``empty`` ranks above every runtime.
+TIERS = ("xsq-f", "xsq-nc", "xsq-fast", "empty")
+
+
+def sampled_queries(path):
+    """:data:`SAMPLED_COUNT` distinct generated queries over the tags of
+    the corpus at ``path``; half of them (by the seed) select text."""
+    gen = QueryWorkloadGenerator(TagGraph.from_document(path),
+                                 seed=SAMPLE_SEED, max_depth=4,
+                                 closure_probability=0.3,
+                                 wildcard_probability=0.15,
+                                 predicate_probability=0.3)
+    rng = random.Random(SAMPLE_SEED)
+    return [query + "/text()" if rng.random() < 0.5 else query
+            for query in gen.workload(SAMPLED_COUNT)]
 
 
 def schema_aware(query):
@@ -89,8 +127,14 @@ def test_closure_auto(benchmark, cache, mode, query):
 
 
 def test_auto_schema_tier_never_lower(cache):
+    """Attaching the DTD never lowers a query's tier nor changes its
+    results: the closure queries above, the paper's queries, the
+    ``not()``/``or()`` queries and a seeded generated sample."""
     path = cache.path("dblp")
-    for query in AUTO_CLOSURE_QUERIES:
+    queries = (AUTO_CLOSURE_QUERIES + PAPER_QUERIES + BOOLEAN_QUERIES
+               + tuple(sampled_queries(path)))
+    assert len(set(queries)) == len(queries)
+    for query in queries:
         aware = repro.compile(query, schema=DBLP_DTD)
         unaware = repro.compile(query)
         assert tier(aware) >= tier(unaware), \

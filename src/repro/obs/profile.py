@@ -20,7 +20,10 @@ rides the same ``obs=`` seam as the rest of :mod:`repro.obs`:
   noise-level), and *per-event* attribution — hot HPDT state, hot tag,
   buffer ops — is sampled on every ``sample_interval``-th batch, then
   scaled.  Unsampled batches execute the unchanged kernel, so the
-  fast path's throughput floor holds.
+  fast path's throughput floor holds.  A kernel sends a determined
+  result without enqueueing it (:mod:`repro.xsq.codegen`), so its
+  ``buffer`` and ``output`` phases cover only the items it buffered;
+  the direct sends stay in the automaton residue.
 
 Phase vocabulary (the keys of :attr:`Profiler.phases`):
 

@@ -36,7 +36,9 @@ independent of any transport:
   a run of documents builds them once per engine, not once per
   document.  A stream opened while another is still open builds its
   own set, and a finished stream's counts (``events_fed``) stay its
-  own.
+  own.  The session hands back one ``(member, values)`` group per
+  member with new results, and the stream fans each group out to the
+  member's subscriptions (:meth:`BrokerStream._route`).
 
 Per-tenant accounting flows into an optional
 :class:`~repro.obs.Observability` bundle as ``repro_serve_*`` metrics
@@ -61,6 +63,9 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import QuotaExceededError, StreamError
+from repro.streaming.push import PushBatchParser
+from repro.xsq.fastpath import TagTable
+from repro.xsq.push import MultiPushHandle
 
 DEFAULT_TENANT = "default"
 
@@ -298,14 +303,12 @@ class BrokerStream:
         self._bytes = 0
         self._chunks = 0
         self.closed = False
-        from repro.streaming.push import PushBatchParser
-        from repro.xsq.fastpath import TagTable
-        from repro.xsq.push import MultiPushHandle
         engine = snapshot.engine
         # Results need document order per subscription only, so the
-        # group session runs whole batches (ordered=False).  The
-        # broker's engine carries no obs bundle, so every member that
-        # lowers runs its kernel.  An empty registry still parses.
+        # group session runs whole batches (ordered=False) and hands
+        # back one group of values per member.  The broker's engine
+        # carries no obs bundle, so every member that lowers runs its
+        # kernel.  An empty registry still parses.
         self._handle = (MultiPushHandle(engine, ordered=False)
                         if engine is not None else None)
         self._parser = PushBatchParser(self._handle.tags
@@ -321,30 +324,35 @@ class BrokerStream:
         """The registry snapshot this stream evaluates."""
         return list(self._sids)
 
-    def _route(self, pairs) -> List[Tuple[str, str]]:
-        """Fan each member result out to every subscription that owns
-        the member's query; count results per delivered pair (and per
-        owning tenant, when an obs bundle takes the tally).  Only
-        subscriptions still registered are counted."""
-        if not pairs:
+    def _route(self, groups) -> List[Tuple[str, str]]:
+        """Fan each member's group of results out to every subscription
+        that owns the member's query.
+
+        ``groups`` are the group session's ``(member, values)`` pairs,
+        one per member with new results.  Each owner of a group gets
+        its ``(subscription_id, value)`` pairs in one run and is
+        counted once for the group (and its tenant, when an obs bundle
+        takes the tally); only subscriptions still registered are
+        counted.  The returned pairs keep each subscription's values in
+        document order.  Groups are small (a 256-byte chunk determines
+        a value or two per member), so a plain append loop beats an
+        ``extend`` over ``zip``.
+        """
+        if not groups:
             return []
         fanout = self._fanout
-        counts = [0] * len(fanout)
-        out: List[Tuple[str, str]] = []
-        append = out.append
-        for index, value in pairs:
-            counts[index] += 1
-            for sid in fanout[index]:
-                append((sid, value))
         broker = self._broker
-        subs = broker._subs
+        subs_get = broker._subs.get
         per_tenant: Optional[Dict[str, int]] = (
             {} if broker.obs is not None else None)
-        for index, n in enumerate(counts):
-            if not n:
-                continue
+        out: List[Tuple[str, str]] = []
+        append = out.append
+        for index, values in groups:
+            n = len(values)
             for sid in fanout[index]:
-                sub = subs.get(sid)
+                for value in values:
+                    append((sid, value))
+                sub = subs_get(sid)
                 if sub is not None:
                     sub.results += n
                     if per_tenant is not None:

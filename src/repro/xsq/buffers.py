@@ -16,6 +16,14 @@ doubly-linked FIFO (O(1) enqueue, unlink, and head advance).  Each
 logically owns it; ``upload`` moves ownership up the HPDT tree without
 copying, and a :class:`BufferTrace` can record every operation so tests
 can check the paper's worked examples step by step.
+
+The interpreted engines put every result through the queue.  The
+generated kernels (:mod:`repro.xsq.codegen`) send a determined item at
+an empty queue without enqueueing it: the value goes straight to the
+sink (through :meth:`OutputQueue.send` for a union member, so it still
+takes a seq), and the runtime adds those sends to the enqueue, flush
+and emit totals at the end of the document, so the counters read as if
+each had passed through the queue at once.
 """
 
 from __future__ import annotations
@@ -198,6 +206,23 @@ class OutputQueue:
         if self.account is not None:
             self.account.on_enqueue(item, governed, depth_vector)
         return item
+
+    def send(self, value: str) -> None:
+        """Hand a determined value to the sink without enqueueing it.
+
+        The generated kernels' direct path for a union member: the value
+        takes the next seq exactly as :meth:`new_item` would have, so
+        the union's order and dedupe see it like any emitted item.
+        Only valid while the queue is empty (nothing may be ahead of
+        the value); the caller counts it.
+        """
+        if self._seq_source is not None:
+            seq = self._seq_source()
+        else:
+            seq = self._next_seq
+            self._next_seq += 1
+        self.emitted_seqs.append(seq)
+        self.sink.append(value)
 
     def upload(self, item: BufferItem, new_owner: Tuple[int, int],
                depth_vector: tuple = ()) -> None:

@@ -18,7 +18,7 @@ Four shapes are selected automatically:
 * **begin-resolved plans** (every predicate is category 1, or there are
   none): no :class:`~repro.xsq.matcher.PredicateInstance` is ever
   allocated — ``matched`` alone carries the automaton state, and
-  results are marked for output unconditionally.  ``peak_instances``
+  every result is determined where it is produced.  ``peak_instances``
   stays identical to the interpreted engines because live instances
   always equal ``matched`` there.
 * **general plans**: the instance stack, witness tests and chain
@@ -32,9 +32,26 @@ Four shapes are selected automatically:
   one per open element that matched a step.  A begin event is one dict
   hit and a push, an end event a pop, a text event one test for the
   final state; a missing transition is filled once on the plan.
-  Nothing is buffered, so results go straight to the sink.  The source
-  depends only on the output kind and the wildcard flag, so plans of
-  one shape share one compiled function.
+  Nothing can pend, so every result takes the direct path below.  The
+  source depends only on the output kind and the wildcard flag, so
+  plans of one shape share one compiled function.
+
+Result sites follow the paper's output rule (Sec 3.3, 4.3): an item is
+buffered only while its membership is undetermined.  A site whose
+value is determined, with nothing queued ahead of it, calls the
+runtime's one result binding ``emit`` (the sink's ``append``, or for a
+union member :meth:`~repro.xsq.buffers.OutputQueue.send`, which also
+draws the union's seq) or, for ``count()``/``sum()``, the aggregate's
+``update``, and adds one to ``self.results``.  No
+:class:`~repro.xsq.buffers.BufferItem` is made.  That is every site of
+a begin-resolved, schema no-buffer or closure-stack plan; a general
+plan tests its governing instances and the queue's head first, and
+only a pending item, or a determined one behind a queued item, goes
+through ``new_item``.  Element output always takes the queue, since
+its value completes at the end tag.  ``FastRuntime.finish`` adds
+``results`` to the queue's enqueued, flushed and emitted totals and
+raises its peak to at least 1, which is what XSQ-NC and XSQ-F count
+for an item enqueued and sent at once, so ``RunStats`` stay equal.
 
 Every plan gets a kernel, however deep the path or wide a transition
 row: state and tag dispatch are emitted as *flat* ``if ...: ...;
@@ -169,9 +186,13 @@ def _generate(plan):
     w(0, "def __xsq_kernel__(self, batch):")
     w(1, "matched = self.matched")
     w(1, "peak = self.peak_instances")
-    w(1, "queue = self.queue")
-    w(1, "new_item = queue.new_item")
-    w(1, "mark_output = queue.mark_output")
+    if element or not (simple or plan.schema_no_buffer):
+        # Element output and pending items go through the queue.
+        w(1, "queue = self.queue")
+        w(1, "new_item = queue.new_item")
+        w(1, "mark_output = queue.mark_output")
+    if not element:
+        _emit_result_locals(e, out_kind)
     if not simple:
         w(1, "inst_stack = self.inst_stack")
     if element:
@@ -275,6 +296,8 @@ def _generate(plan):
     w(1, "self.peak_instances = peak")
     if element:
         w(1, "self._cap_parts = cap")
+    else:
+        w(1, "self.results = nres")
 
     if expect is not None:
         flavor = "linear chain (collapsed dispatch)"
@@ -296,7 +319,7 @@ def _closure_source(out_kind: str, wildcard: bool) -> str:
     closure row otherwise) and, if the element matches a step, a push;
     an end event at the top's depth is a pop; a text event is one test
     for the final state.  A missing transition goes to ``plan.fill``
-    once.  Nothing is ever buffered: results go straight to the sink
+    once.  Nothing is ever buffered: results go straight to ``emit``
     (or the aggregate), counted in ``self.results``.
     """
     e = _Emitter()
@@ -307,13 +330,9 @@ def _closure_source(out_kind: str, wildcard: bool) -> str:
     w(1, "pop = stack.pop")
     w(1, "top_depth, top, live = stack[-1]")
     w(1, "peak = self.peak_instances")
-    w(1, "nres = self.results")
     w(1, "fill = self.plan.fill")
     w(1, "unfilled = UNFILLED")
-    if out_kind in ("text", "attr"):
-        w(1, "append = self.sink.append")
-    else:
-        w(1, "update = self.stat.update")
+    _emit_result_locals(e, out_kind)
     if out_kind == "attr":
         w(1, "attr = self.plan.out_attr")
     w(1, "for event in batch:")
@@ -348,7 +367,7 @@ def _closure_source(out_kind: str, wildcard: bool) -> str:
         w(3, "if top[5]:")
         w(4, "value = event[2].get(attr)")
         w(4, "if value is not None:")
-        w(5, "append(value)")
+        w(5, "emit(value)")
         w(5, "nres += 1")
     w(2, "elif kind == 2:")
     w(3, "if event[3] == top_depth:")
@@ -356,7 +375,7 @@ def _closure_source(out_kind: str, wildcard: bool) -> str:
     w(4, "top_depth, top, live = stack[-1]")
     if out_kind == "text":
         w(2, "elif event[3] == top_depth and top[5]:")
-        w(3, "append(event[2])")
+        w(3, "emit(event[2])")
         w(3, "nres += 1")
     elif out_kind == "agg":
         w(2, "elif event[3] == top_depth and top[5]:")
@@ -475,12 +494,11 @@ def _emit_begin_output(e, plan, ind, simple):
     if out_kind == "attr":
         w(ind, "value = event[2].get(%r)" % plan.out_attr)
         w(ind, "if value is not None:")
-        _emit_make_item(e, plan, ind + 1, "value", simple)
+        _emit_result(e, plan, ind + 1, "value", simple)
     elif out_kind == "count":
-        _emit_make_item(e, plan, ind, '"1"', simple,
-                        on_emit="self._agg_emitter(1.0)")
+        _emit_result(e, plan, ind, '"1"', simple, stat_value="1.0")
     elif out_kind == "element":
-        _emit_make_item(e, plan, ind, "None", simple, value_ready=False)
+        _emit_result(e, plan, ind, "None", simple, element=True)
         w(ind, "self._cap_item = item")
         w(ind, "attrs = event[2]")
         w(ind, "if attrs:")
@@ -508,15 +526,15 @@ def _emit_text_own(e, plan, m, ind, simple):
     if m == plan.n:
         out_kind = plan.out_kind
         if out_kind == "text":
-            _emit_make_item(e, plan, ind, "event[2]", simple)
+            _emit_result(e, plan, ind, "event[2]", simple)
         elif out_kind == "agg":
             w(ind, "try:")
             w(ind + 1, "fval = float(event[2].strip())")
             w(ind, "except ValueError:")
             w(ind + 1, "pass")
             w(ind, "else:")
-            _emit_make_item(e, plan, ind + 1, "event[2]", simple,
-                            on_emit="self._agg_emitter(fval)")
+            _emit_result(e, plan, ind + 1, "event[2]", simple,
+                         stat_value="fval")
 
 
 def _emit_text_child(e, plan, m, ind, fallthrough=False):
@@ -555,61 +573,92 @@ def _emit_text_child(e, plan, m, ind, fallthrough=False):
         entries_block(default, ind)
 
 
-def _emit_make_item(e, plan, ind, value_expr, simple,
-                    on_emit=None, value_ready=True):
-    """Buffer one output unit at a result site, inlined.
+def _emit_result_locals(e, out_kind) -> None:
+    """Prologue locals of the direct result sites: ``emit`` (the
+    runtime's one result binding) or the aggregate's ``update``, and
+    the ``results`` counter the runtime folds into the queue's totals
+    at ``finish()``."""
+    if out_kind in ("text", "attr"):
+        e.w(1, "emit = self.emit")
+    else:
+        e.w(1, "update = self.stat.update")
+    e.w(1, "nres = self.results")
 
-    Mirrors ``_NCRuntime._make_item`` for untracked queues (the only
-    kind the fast path accepts): owner ``(n, 0)``, one chain, governed =
-    still-NA ancestor count.
+
+def _emit_result(e, plan, ind, value_expr, simple, stat_value=None,
+                 element=False):
+    """One result site, inlined.
+
+    A value whose membership is already determined while nothing is
+    queued ahead of it goes straight out: ``emit(value)`` (or
+    ``update(stat_value)`` for an aggregate) and ``nres += 1``, with no
+    :class:`~repro.xsq.buffers.BufferItem`.  XSQ-NC would enqueue,
+    flush and emit it at once, so the runtime adds ``results`` to each
+    of those totals at ``finish()``.  On a begin-resolved or schema
+    no-buffer plan every site is determined and nothing is ever
+    queued, so the site is just the direct path.
+
+    Otherwise the site mirrors ``_NCRuntime._make_item`` for untracked
+    queues (the only kind the fast path accepts): owner ``(n, 0)``, one
+    chain, governed = still-NA ancestor count; a determined item behind
+    a queued one is marked for output and waits its turn.  Element
+    output always takes the queue: its value completes at the end tag.
     """
     w = e.w
     n = plan.n
-    if plan.schema_no_buffer:
-        # Static no-buffer (schema): every non-begin predicate is
-        # eagerly gated upstream, so a result site can only execute
-        # once all governing instances have resolved True — the item
-        # uploads immediately, exactly like the begin-resolved shape.
-        simple = True
     keywords = ""
-    if not value_ready:
+    if element:
         keywords += ", value_ready=False"
-    if on_emit is not None:
-        keywords += ", on_emit=" + on_emit
-    if simple:
-        # No instance is ever pending: output immediately, zero chains
-        # to wire (NC's empty-pending branch).
-        w(ind, "item = new_item(%s, (%d, 0)%s, governed=0)"
-          % (value_expr, n, keywords))
+    if stat_value is not None:
+        keywords += ", on_emit=self._agg_emitter(%s)" % stat_value
+
+    def enqueue(ind, governed):
+        w(ind, "item = new_item(%s, (%d, 0)%s, governed=%s)"
+          % (value_expr, n, keywords, governed))
         w(ind, "item.live_chains = 1")
-        w(ind, "mark_output(item)")
+
+    def direct(ind):
+        if stat_value is None:
+            w(ind, "emit(%s)" % value_expr)
+        else:
+            w(ind, "update(%s)" % stat_value)
+        w(ind, "nres += 1")
+
+    if simple or plan.schema_no_buffer:
+        # No instance is ever pending (on a schema no-buffer plan every
+        # non-begin predicate is eagerly gated upstream, so a site only
+        # runs once its governing instances resolved True).
+        if element:
+            enqueue(ind, 0)
+            w(ind, "mark_output(item)")
+        else:
+            direct(ind)
         return
     if len(e.pending_states) == 1:
         # Only one stack slot can be NA: branch on its status directly,
         # skipping the tuple build and pending scan when it has already
         # resolved (the common case once the witness arrived).
-        slot = e.pending_states[0]
-        w(ind, "i_p = inst_stack[%d]" % slot)
+        w(ind, "i_p = inst_stack[%d]" % e.pending_states[0])
         w(ind, "if i_p.status is None:")
-        w(ind + 1, "item = new_item(%s, (%d, 0)%s, governed=1)"
-          % (value_expr, n, keywords))
-        w(ind + 1, "item.live_chains = 1")
+        enqueue(ind + 1, 1)
         w(ind + 1, "chain = Chain(item, 1, tuple(inst_stack), ())")
         w(ind + 1, "i_p.chain_watchers.append(chain)")
-        w(ind, "else:")
-        w(ind + 1, "item = new_item(%s, (%d, 0)%s, governed=0)"
-          % (value_expr, n, keywords))
-        w(ind + 1, "item.live_chains = 1")
-        w(ind + 1, "mark_output(item)")
-        return
-    w(ind, "instances = tuple(inst_stack)")
-    w(ind, "pending_i = [i_ for i_ in instances if i_.status is None]")
-    w(ind, "item = new_item(%s, (%d, 0)%s, governed=len(pending_i))"
-      % (value_expr, n, keywords))
-    w(ind, "item.live_chains = 1")
-    w(ind, "if not pending_i:")
-    w(ind + 1, "mark_output(item)")
+    else:
+        w(ind, "pending_i = [i_ for i_ in inst_stack if i_.status is None]")
+        w(ind, "if pending_i:")
+        enqueue(ind + 1, "len(pending_i)")
+        w(ind + 1, "chain = Chain(item, len(pending_i), tuple(inst_stack), "
+                   "())")
+        w(ind + 1, "for i_ in pending_i:")
+        w(ind + 2, "i_.chain_watchers.append(chain)")
+    if not element:
+        # Determined, and nothing queued ahead: straight out.  On a
+        # child-axis plan a queued item means some open element's
+        # instance still pends, and it governs this site too, so the
+        # head test never fails here; it stays as the guard of
+        # document order.
+        w(ind, "elif queue._head is None:")
+        direct(ind + 1)
     w(ind, "else:")
-    w(ind + 1, "chain = Chain(item, len(pending_i), instances, ())")
-    w(ind + 1, "for i_ in pending_i:")
-    w(ind + 2, "i_.chain_watchers.append(chain)")
+    enqueue(ind + 1, 0)
+    w(ind + 1, "mark_output(item)")

@@ -52,13 +52,15 @@ et al. freeze their stream schedule:
 Semantics are *identical* to the interpreted engines — the fast path
 reuses :class:`~repro.xsq.matcher.PredicateInstance`,
 :class:`~repro.xsq.matcher.Chain` and
-:class:`~repro.xsq.buffers.OutputQueue` unchanged, so results, document
-order and the buffer-operation counters (RunStats) are byte-for-byte
-the same, which ``tests/test_fastpath_equivalence.py`` proves
-differentially (``tests/test_closure_kernels.py`` for closure plans,
-against XSQ-F).  Queries outside the supported classes (closures with
-predicates or element output, ``not()``/``or()``, nested-path
-predicates) raise :class:`~repro.errors.FastPathUnsupportedError`
+:class:`~repro.xsq.buffers.OutputQueue` unchanged for every item that
+must wait, and counts the determined results it sends without
+enqueueing (:attr:`FastRuntime.results`) into the queue's totals, so
+results, document order and the buffer-operation counters (RunStats)
+are byte-for-byte the same, which ``tests/test_fastpath_equivalence.py``
+and ``tests/test_direct_emission.py`` prove differentially
+(``tests/test_closure_kernels.py`` for closure plans, against XSQ-F).
+Queries outside the supported classes (closures with predicates or
+element output, ``not()``/``or()``, nested-path predicates) raise :class:`~repro.errors.FastPathUnsupportedError`
 naming the first unsupported feature; ``engine="auto"`` catches it and
 falls back to an interpreted runtime with the reason surfaced in
 ``.explain()``.
@@ -698,8 +700,11 @@ class FastRuntime:
     (:func:`repro.xsq.codegen.compile_kernel`), bound here as the
     instance's ``run_batch``.  The buffer discipline is the shared one:
     ``PredicateInstance``, ``Chain`` and ``OutputQueue`` are reused
-    unchanged, which is what makes results, order, and RunStats
-    counters identical to the interpreted engines.
+    unchanged for items that must wait, and a determined result sent
+    through :attr:`emit` is counted in :attr:`results`, which
+    :meth:`finish` folds into the queue's totals.  That is what makes
+    results, order, and RunStats counters identical to the interpreted
+    engines.
 
     :meth:`reset` readies a finished runtime for the next document:
     the query group keeps its members' runtimes across documents
@@ -719,8 +724,13 @@ class FastRuntime:
                 "trace/accounting-bearing queues need an interpreted "
                 "runtime", reason="observability")
         self._closure = isinstance(plan, ClosurePlan)
-        if self._closure:
-            self.sink = sink
+        self.sink = sink
+        #: Where the kernel sends a determined result it does not
+        #: enqueue: the sink itself, or, for a union member, the
+        #: queue's :meth:`~repro.xsq.buffers.OutputQueue.send`, which
+        #: also records the union's shared seq for the node-set dedupe.
+        self.emit = self.queue.send if self.queue.track_seqs \
+            else sink.append
         kernel = plan.kernel
         if kernel is None:
             from repro.xsq.codegen import compile_kernel
@@ -736,14 +746,14 @@ class FastRuntime:
         of the last document stays reachable but what the sink holds
         (the caller empties it)."""
         self.peak_instances = 0
+        #: Results the kernel sent without enqueueing them; the queue's
+        #: totals take them at ``finish()``.
+        self.results = 0
         if self._closure:
             #: One ``(depth, state, live)`` triple per open element that
             #: matched a step, over the document root: ``live`` counts
             #: the matched steps of every open element down to this one.
             self.stack = [(0, self.plan.root, 0)]
-            #: Results so far; nothing is buffered, so the queue's
-            #: counters are set from this at ``finish()``.
-            self.results = 0
         else:
             self.matched = 0
             #: Preallocated instance stack: slot m holds the activation
@@ -762,14 +772,17 @@ class FastRuntime:
             self.stat.reset()
 
     def finish(self) -> None:
-        if self._closure:
-            # XSQ-F enqueues, flushes and emits each result of a
-            # predicate-free query at once: one item buffered at a time.
-            queue = self.queue
-            queue.enqueued_total = queue.flushed_total = \
-                queue.emitted_total = self.results
-            queue.peak_size = 1 if self.results else 0
-        self.queue.finish()
+        results = self.results
+        queue = self.queue
+        if results:
+            # The interpreted engines enqueue, flush and emit each of
+            # these at once, at an empty queue: one item buffered.
+            queue.enqueued_total += results
+            queue.flushed_total += results
+            queue.emitted_total += results
+            if queue.peak_size < 1:
+                queue.peak_size = 1
+        queue.finish()
 
     def profile_state(self) -> int:
         """The matched-step count the profiler charges the next event

@@ -47,11 +47,11 @@ one parse.  Only the queries and one kind of ``obs`` bundle decide the
 lowering: a bundle with per-event instruments
 (:attr:`repro.obs.Observability.per_event`), which kernels have no
 hooks for, lowers every member to XSQ-F; a spans-and-metrics bundle
-and a profiler keep the kernels.  The one rule only a union has: a
-closure-stack kernel writes straight to its sink and issues no
-sequence number, so a union runs that member on XSQ-F.  Sessions that
-promise order across members (``push()``, ``iter_results()``, the
-union, any ``obs`` session) feed each tuple to its route alone.
+and a profiler keep the kernels.  A union lowers the same way: a
+kernel that sends a result without enqueueing it still draws the
+union's sequence number for it.  Sessions that promise order across
+members (``push()``, ``iter_results()``, the union, any ``obs``
+session) feed each tuple to its route alone.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from repro.xpath.ast import Query
 from repro.xsq.compile_cache import compile_hpdt
 from repro.xsq.dispatch import DispatchIndex, projection_note
 from repro.xsq.engine import RunStats
-from repro.xsq.fastpath import (ClosurePlan, FastPlan, TagTable,
-                                compile_fastplan)
+from repro.xsq.fastpath import FastPlan, TagTable, compile_fastplan
 from repro.xsq.hpdt import Hpdt
 
 
@@ -154,10 +153,7 @@ class MultiQueryEngine:
         every plan's transition-row keys; a member outside the fast-path
         classes (closure with predicates or element output, not()/or(),
         path predicate) gets ``None`` and runs on XSQ-F beside the
-        kernels.  In a union a closure-stack plan
-        (:class:`~repro.xsq.fastpath.ClosurePlan`) writes straight to
-        its sink and issues no sequence number for the union's order,
-        so that member runs on XSQ-F too (``union-closure``).
+        kernels.
 
         When :attr:`fast_group_note` names a reason (a per-event
         ``obs`` bundle) every plan is ``None`` and nothing is
@@ -178,9 +174,6 @@ class MultiQueryEngine:
                     plan = compile_fastplan(hpdt, tags)
                 except FastPathUnsupportedError as exc:
                     self.member_fallbacks[i] = exc.reason
-                    continue
-                if self.merged and isinstance(plan, ClosurePlan):
-                    self.member_fallbacks[i] = "union-closure"
                     continue
                 plans[i] = plan
                 self.member_kernel_notes[i] = compile_kernel(plan)[1]

@@ -23,7 +23,8 @@ There is one session per runtime kind: :class:`EventPushHandle`
 group, each member on the runtime the engine lowered it to — its
 kernel or XSQ-F — and fed its share of each batch through its
 ``run_batch``; a union's group returns the document-order union at
-``finish()``) and
+``finish()``, and the serve broker's unordered session one group of
+values per member) and
 :class:`NullPushHandle` (the empty query).  Concatenating every
 feed's results plus ``finish()`` equals ``run()``, for any split (the
 chunk-split differential suite proves it byte-for-byte).
@@ -308,10 +309,10 @@ class FastPushHandle(_QuerySession):
 class _GroupMembers:
     """What a group session runs its members on, one entry per member:
     its runtime (kernel or XSQ-F matcher, each fed batches through its
-    ``run_batch``), sink, aggregate buffer and sub-batch, and the
-    tables bound over them (each member's ``run_batch`` with its
-    sub-batch, the sinks a feed drains, the ordered loop's per-route
-    rows).
+    ``run_batch``), sink, aggregate buffer and sub-batch, whether the
+    document ran it, and the tables bound over them (each member's
+    ``run_batch`` with its sub-batch and the sink a feed drains, the
+    ordered loop's per-route rows).
 
     A plain session borrows its engine's idle set and gives it back at
     ``finish()``, :meth:`reset` for the next document, so a run of
@@ -365,11 +366,18 @@ class _GroupMembers:
             self.mark = obs.profiler.timed_dispatch(
                 engine.name, runtimes, [query.text for query in queries])
         self.subs: List[list] = [[] for _ in runtimes]
-        self.batches = [(runtime.run_batch, sub)
-                        for runtime, sub in zip(runtimes, self.subs)]
+        #: Whether the current document ran each member.  A member no
+        #: tuple reached is still in its reset state, so ``finish()``
+        #: skips its finish, stats and reset.
+        self.ran = [False] * len(runtimes)
         self.drained = [(i, sink) for i, (sink, stat)
                         in enumerate(zip(sinks, self.stats))
                         if stat is None] if drain else []
+        drained = dict(self.drained)
+        #: ``(index, run_batch, sub-batch, drained sink or None)``.
+        self.batches = [(i, runtime.run_batch, sub, drained.get(i))
+                        for i, (runtime, sub)
+                        in enumerate(zip(runtimes, self.subs))]
         self._touch = None
 
     def touch(self):
@@ -392,14 +400,17 @@ class _GroupMembers:
         return self._touch
 
     def reset(self) -> None:
-        """Ready every member for the next document: each runtime with
-        its queue and aggregate reset, every sink and sub-batch empty.
-        The bound tables stay valid: they hold the same runtimes and
-        lists."""
-        for runtime in self.runtimes:
-            runtime.reset()
-        for sink in self.sinks:
-            del sink[:]
+        """Ready every member for the next document: each runtime the
+        document ran reset with its queue and aggregate, and its sink
+        emptied (the others never left that state); every sub-batch
+        empty.  The bound tables stay valid: they hold the same
+        runtimes and lists."""
+        ran = self.ran
+        for i, runtime in enumerate(self.runtimes):
+            if ran[i]:
+                runtime.reset()
+                del self.sinks[i][:]
+                ran[i] = False
         for sub in self.subs:
             del sub[:]
 
@@ -443,15 +454,27 @@ class MultiPushHandle(_Session):
     event hooks, profiler mark and fanout histogram run before each
     tuple) are ordered.
 
-    Three result shapes:
+    ``finish()`` finishes, reads the stats of and (when the members are
+    handed on) resets only the members the document ran; a member no
+    tuple reached reports its reset-state stats over the stream's
+    length.  The whole-batch loop records which members ran; an ordered
+    session counts every member as run.
 
-    * default: every feed returns ``(query_index, value)`` pairs;
-      aggregate members surface their final value at ``finish()``;
+    Four result shapes:
+
+    * default (ordered): every feed returns ``(query_index, value)``
+      pairs; aggregate members surface their final value at
+      ``finish()``;
+    * ``ordered=False`` and draining, the serve broker's session: every
+      feed and ``finish()`` return one ``(query_index, values)`` group
+      per member with new results, so the caller fans a member's
+      values out once per group, not once per value;
     * a :class:`repro.api.UnionEngine` (``engine.merged``): the union.
       Feeds return nothing, and ``finish()`` returns the
       document-order union, through a sequence counter shared by every
-      member's queue, kernel and XSQ-F alike.  A node that several
-      members select with the same output is returned once;
+      member's queue, kernel and XSQ-F alike (a kernel draws a number
+      for each result it sends without enqueueing too).  A node that
+      several members select with the same output is returned once;
     * ``drain=False``: ``run()``'s session.  Results stay in ``sinks``
       and ``finish()`` returns the per-query result lists.
 
@@ -504,9 +527,12 @@ class MultiPushHandle(_Session):
         self.tags = engine._fast[0]
         self._observe = (self._observer(obs, members)
                          if obs is not None else None)
-        if ordered or merged or obs is not None:
+        ordered = ordered or merged or obs is not None
+        self._grouped = drain and not ordered
+        if ordered:
             self._touch_get, self._touch_default = members.touch()
             self.feed_batch = self._feed_ordered
+            members.ran[:] = [True] * len(members.ran)
 
     def _observer(self, obs, members):
         """The per-tuple instruments of an ``obs`` session: the
@@ -532,15 +558,17 @@ class MultiPushHandle(_Session):
 
         return observe
 
-    def feed_batch(self, batch: list) -> List[Tuple[int, object]]:
-        """Feed one chunk of batched tuples; return the ``(index,
-        value)`` pairs it determined (empty when not draining).
+    def feed_batch(self, batch: list) -> List[Tuple[int, list]]:
+        """Feed one chunk of batched tuples; return one ``(index,
+        values)`` group per member it determined results for (empty
+        when not draining).
 
-        This whole-batch loop groups the pairs by member; an ordered
-        session replaces it with :meth:`_feed_ordered`.  A text tuple
-        carries its enclosing element's tag id and an end tuple repeats
-        its begin's, so one route lookup serves all three kinds and
-        every member sees a begin/end-balanced subsequence.
+        This whole-batch loop runs each member once per batch and
+        records which members ran; an ordered session replaces it with
+        :meth:`_feed_ordered`.  A text tuple carries its enclosing
+        element's tag id and an end tuple repeats its begin's, so one
+        route lookup serves all three kinds and every member sees a
+        begin/end-balanced subsequence.
         """
         if self.closed:
             raise StreamError(_CLOSED)
@@ -552,17 +580,16 @@ class MultiPushHandle(_Session):
         for event in batch:
             for i in routes_get(event[1], default):
                 subs[i].append(event)
-        for run_batch, sub in members.batches:
+        ran = members.ran
+        out: list = []
+        for i, run_batch, sub, sink in members.batches:
             if sub:
+                ran[i] = True
                 run_batch(sub)
                 del sub[:]
-        out: list = []
-        append = out.append
-        for i, sink in members.drained:
-            if sink:
-                for value in sink:
-                    append((i, value))
-                del sink[:]
+                if sink:
+                    out.append((i, sink[:]))
+                    del sink[:]
         return out
 
     def _feed_ordered(self, batch: list) -> List[Tuple[int, object]]:
@@ -599,15 +626,20 @@ class MultiPushHandle(_Session):
         engine = self._engine
         members = self._members
         count = self._count
-        for runtime in members.runtimes:
-            runtime.finish()
         # ``events`` is the *global* stream length for every member: all
         # queries share the single pass even when the dispatch index
-        # withheld most events from their runtimes.
-        engine.last_stats = [RunStats.of(runtime, count)
-                             for runtime in members.runtimes]
+        # withheld most events from their runtimes.  A member the
+        # document never ran is still in its reset state.
+        last_stats = []
+        for runtime, ran in zip(members.runtimes, members.ran):
+            if ran:
+                runtime.finish()
+                last_stats.append(RunStats.of(runtime, count))
+            else:
+                last_stats.append(RunStats(events=count))
+        engine.last_stats = last_stats
         if engine.obs is not None:
-            for run in engine.last_stats:
+            for run in last_stats:
                 engine.obs.record_run(engine.name, run)
         if self._merged:
             return self._union()
@@ -615,12 +647,17 @@ class MultiPushHandle(_Session):
         if not self._drains:
             return [[stat.render()] if stat is not None else sink
                     for sink, stat in zip(sinks, stats)]
+        grouped = self._grouped
         out: list = []
         for i, (sink, stat) in enumerate(zip(sinks, stats)):
             if stat is not None:
-                out.append((i, stat.render()))
-            else:
-                out.extend((i, value) for value in sink)
+                value = stat.render()
+                out.append((i, [value]) if grouped else (i, value))
+            elif sink:
+                if grouped:
+                    out.append((i, sink[:]))
+                else:
+                    out.extend((i, value) for value in sink)
                 del sink[:]
         if self._reuse:
             # The next document may run on these members: this closed

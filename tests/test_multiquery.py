@@ -143,9 +143,8 @@ class TestUnionIsNodeSet:
 
 class TestUnionLowering:
     """A union lowers like any query group, once, at construction: each
-    branch on its generated kernel, or on XSQ-F when it has none.  A
-    closure-stack branch issues no sequence numbers, so inside a union
-    it runs XSQ-F (``union-closure``)."""
+    branch on its generated kernel (closure-stack kernels included), or
+    on XSQ-F when it has none."""
 
     DTD = """
         <!ELEMENT lib (shelf*, box*)>
@@ -178,16 +177,16 @@ class TestUnionLowering:
         compiled = repro.compile("/lib/shelf/item/text() | //item/text()",
                                  cache=False)
         assert isinstance(compiled.engine, UnionEngine)
-        assert compiled.engine.member_runtimes == ["kernel", "xsq-f"]
-        assert compiled.engine.member_fallbacks == [None, "union-closure"]
+        assert compiled.engine.member_runtimes == ["kernel", "kernel"]
+        assert compiled.engine.member_fallbacks == [None, None]
         assert compiled.run(self.DOC) == ["s1", "b1"]
         session = compiled.push()
         assert session.feed(self.DOC) == []
         assert session.finish() == ["s1", "b1"]
-        # Both branches are lowered; only the kernel branch is
-        # code-generated.
+        # Both branches are lowered and code-generated, the closure
+        # branch to its closure-stack kernel.
         assert lowerings.count("compile_fastplan") == 2
-        assert lowerings.count("compile_kernel") == 1
+        assert lowerings.count("compile_kernel") == 2
         assert repro.compile(
             "/dblp/article/title/text() | /dblp/inproceedings/title/text()"
         ).engine.member_runtimes == ["kernel", "kernel"]
@@ -205,7 +204,10 @@ class TestUnionLowering:
         assert lowerings.count("compile_kernel") == 2
 
     def test_explain_names_the_lowering(self):
-        notes = repro.compile("/r/a/text() | //a/text()").explain()
+        notes = repro.compile(
+            "/r/a/text() | //a/text() | //a[@id]/text()").explain()
         assert "member 0: /r/a/text() — kernel (generated kernel" in notes
-        assert ("member 1: //a/text() — xsq-f "
-                "(fast path not selected: union-closure)") in notes
+        assert ("member 1: //a/text() — kernel (generated kernel: "
+                "1-step path") in notes
+        assert ("member 2: //a[@id]/text() — xsq-f "
+                "(fast path not selected: closure-predicate)") in notes

@@ -24,6 +24,7 @@ from repro.datagen.dblp import generate_dblp
 from repro.datagen.shake import generate_shake
 from repro.errors import StreamError
 from repro.serve import SubscriptionBroker
+from repro.xsq.engine import RunStats
 from repro.xsq.fastpath import FastRuntime
 from repro.xsq.matcher import MatcherRuntime
 from repro.xsq.multiquery import MultiQueryEngine
@@ -270,3 +271,69 @@ def test_reset_leaves_nothing_of_the_last_document_reachable():
             assert runtime.inst_stack == [None] * runtime.plan.n
             assert runtime._cap_parts is None and runtime._cap_item is None
     assert kinds == {FastRuntime, MatcherRuntime}
+
+
+#: No member needs every tag, so a document reaches only the members
+#: whose tags it carries.
+SPARSE_QUERIES = (
+    "/x/y/text()",
+    "/x/y[@k]/count()",
+    "/dblp/article/title/text()",
+    "/dblp/inproceedings[author]/title/text()",
+    "//SPEAKER/text()",
+    "//LINE/count()",
+    '//SPEECH[SPEAKER="OPHELIA"]/LINE/text()',
+    "/dblp//inproceedings[booktitle]/pages/text()",
+)
+
+SPARSE_DOCS = (
+    "<x><y k='1'>1</y><y>2</y></x>",
+    "<r><LINE>l</LINE><LINE>m</LINE></r>",
+    "<dblp><article><title>T</title></article></dblp>",
+    "<w><z>no member</z></w>",
+) + tuple(documents(4))
+
+
+def test_documents_that_reach_one_member_of_many():
+    """A document that reaches few members finishes, stats and resets
+    only those; the others report their reset-state stats.  Results
+    and every member's stats equal a fresh engine's, whether the fresh
+    one finishes every member (an ordered push session) or not."""
+    broker = SubscriptionBroker()
+    sids = [broker.subscribe(query) for query in SPARSE_QUERIES]
+    query_of = dict(zip(sids, SPARSE_QUERIES))
+    engine = broker._snapshot_engine()[1]
+    assert set(engine.member_runtimes) == {"kernel", "xsq-f"}
+    assert not engine._fast[3]
+    stream_document(broker, SPARSE_DOCS[-1])
+    members = engine._idle[0]
+    finished = [0] * len(members.runtimes)
+
+    def spy(i, finish):
+        def counted():
+            finished[i] += 1
+            finish()
+        return counted
+
+    for i, runtime in enumerate(members.runtimes):
+        runtime.finish = spy(i, runtime.finish)
+    for xml in SPARSE_DOCS:
+        finished[:] = [0] * len(finished)
+        _stream, pairs = stream_document(broker, xml)
+        check_document(broker, query_of, xml, pairs)
+        ordered = MultiQueryEngine(SPARSE_QUERIES)
+        list(ordered.iter_results(xml))
+        assert ([run.as_dict() for run in engine.last_stats]
+                == [run.as_dict() for run in ordered.last_stats])
+        assert engine._idle == [members]
+        assert not any(members.ran)
+        if xml.startswith("<x><y"):
+            # Only the two /x/y members ran.
+            assert finished == [1, 1] + [0] * (len(finished) - 2)
+            assert [run.events for run in engine.last_stats] \
+                == [8] * len(finished)
+        elif xml.startswith("<w>"):
+            # No member ran: every one reports its reset state.
+            assert finished == [0] * len(finished)
+            assert [run.as_dict() for run in engine.last_stats] \
+                == [RunStats(events=5).as_dict()] * len(finished)
